@@ -15,7 +15,6 @@ package cache
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/mem"
 )
@@ -26,13 +25,15 @@ import (
 var ErrOverflow = errors.New("cache: speculative state overflow")
 
 // line is one cache line's metadata. Data contents are not modeled — the
-// simulator tracks timing and coherence, not values.
+// simulator tracks timing and coherence, not values — but the commit
+// version of the data the line holds is, for commit-time validation.
 type line struct {
-	tag   mem.LineAddr
-	valid bool
-	sr    bool // speculatively read this transaction
-	sm    bool // speculatively modified this transaction
-	lru   uint64
+	tag     mem.LineAddr
+	valid   bool
+	sr      bool // speculatively read this transaction
+	sm      bool // speculatively modified this transaction
+	lru     uint64
+	version uint64 // commit version of the held data; 0 until set
 }
 
 // Stats counts cache events for reporting.
@@ -46,17 +47,19 @@ type Stats struct {
 
 // Cache is a set-associative L1 data cache with speculative bits.
 type Cache struct {
-	geom     *mem.Geometry
-	sets     int
-	ways     int
-	lines    []line // sets*ways, row-major by set
-	tick     uint64 // LRU clock
-	stats    Stats
-	specRead map[mem.LineAddr]struct{} // read-set (SR lines), for fast enumeration
-	specMod  map[mem.LineAddr]struct{} // write-set (SM lines)
-	// dropScratch backs ClearSpeculative's return slice, reused across
-	// calls so per-abort reporting is allocation-free in steady state.
-	dropScratch []mem.LineAddr
+	geom  *mem.Geometry
+	sets  int
+	ways  int
+	lines []line // sets*ways, row-major by set
+	tick  uint64 // LRU clock
+	stats Stats
+	// spec lists every line that gained an SR or SM bit since the last
+	// flash-clear, so the clear visits the transaction's footprint, not
+	// the whole cache. It is append-only: a line that loses its bits
+	// (eviction, invalidation) stays listed, and one that regains them is
+	// listed again. The bits are the truth; the list only says where to
+	// look.
+	spec []mem.LineAddr
 }
 
 // Config describes a cache shape.
@@ -80,12 +83,10 @@ func New(geom *mem.Geometry, cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("cache: set count %d is not a power of two", sets)
 	}
 	return &Cache{
-		geom:     geom,
-		sets:     sets,
-		ways:     cfg.Ways,
-		lines:    make([]line, sets*cfg.Ways),
-		specRead: make(map[mem.LineAddr]struct{}),
-		specMod:  make(map[mem.LineAddr]struct{}),
+		geom:  geom,
+		sets:  sets,
+		ways:  cfg.Ways,
+		lines: make([]line, sets*cfg.Ways),
 	}, nil
 }
 
@@ -108,7 +109,7 @@ func (c *Cache) Ways() int { return c.ways }
 func (c *Cache) Stats() Stats { return c.stats }
 
 func (c *Cache) setOf(l mem.LineAddr) int {
-	return int(uint64(l) % uint64(c.sets))
+	return int(uint64(l) & uint64(c.sets-1)) // sets is a power of two
 }
 
 func (c *Cache) find(l mem.LineAddr) *line {
@@ -175,7 +176,6 @@ func (c *Cache) Access(l mem.LineAddr, write bool) (AccessResult, error) {
 		c.stats.Evictions++
 		res.Victim = ln.tag
 		res.Evicted = true
-		c.dropSpec(ln)
 	}
 	*ln = line{tag: l, valid: true, lru: c.tick}
 	c.markSpec(ln, write)
@@ -183,27 +183,13 @@ func (c *Cache) Access(l mem.LineAddr, write bool) (AccessResult, error) {
 }
 
 func (c *Cache) markSpec(ln *line, write bool) {
+	if !ln.sr && !ln.sm {
+		c.spec = append(c.spec, ln.tag)
+	}
 	if write {
-		if !ln.sm {
-			ln.sm = true
-			c.specMod[ln.tag] = struct{}{}
-		}
+		ln.sm = true
 	} else {
-		if !ln.sr {
-			ln.sr = true
-			c.specRead[ln.tag] = struct{}{}
-		}
-	}
-}
-
-func (c *Cache) dropSpec(ln *line) {
-	if ln.sr {
-		delete(c.specRead, ln.tag)
-		ln.sr = false
-	}
-	if ln.sm {
-		delete(c.specMod, ln.tag)
-		ln.sm = false
+		ln.sr = true
 	}
 }
 
@@ -219,84 +205,56 @@ func (c *Cache) SpeculativelyModified(l mem.LineAddr) bool {
 	return ln != nil && ln.sm
 }
 
-// ReadSet returns the lines currently marked SR, in ascending line order.
-// Deterministic ordering matters: the commit sequence derives from this
-// slice and must not depend on map iteration order.
-func (c *Cache) ReadSet() []mem.LineAddr {
-	return sortedLines(c.specRead)
-}
-
-// WriteSet returns the lines currently marked SM, in ascending line order.
-func (c *Cache) WriteSet() []mem.LineAddr {
-	return sortedLines(c.specMod)
-}
-
-func sortedLines(set map[mem.LineAddr]struct{}) []mem.LineAddr {
-	out := make([]mem.LineAddr, 0, len(set))
-	for l := range set {
-		out = append(out, l)
+// Version returns the commit version of the data the cache holds for l,
+// or 0 if l is not resident or no version was recorded since it was
+// allocated.
+func (c *Cache) Version(l mem.LineAddr) uint64 {
+	if ln := c.find(l); ln != nil {
+		return ln.version
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return 0
 }
 
-// ReadSetSize returns the number of SR lines.
-func (c *Cache) ReadSetSize() int { return len(c.specRead) }
-
-// WriteSetSize returns the number of SM lines.
-func (c *Cache) WriteSetSize() int { return len(c.specMod) }
+// SetVersion records the commit version of the data held for l. It is a
+// no-op when l is not resident: the version lives and dies with the line.
+func (c *Cache) SetVersion(l mem.LineAddr, v uint64) {
+	if ln := c.find(l); ln != nil {
+		ln.version = v
+	}
+}
 
 // ClearSpeculative flash-clears all SR/SM bits. Called on abort (discarding
 // the write-set: the lines' data is stale so they are also invalidated, as
 // TCC buffers new values in place) and on commit (keeping the data: lines
-// stay valid, bits clear). It returns the lines dropped from the cache
-// (non-empty only on abort), so the owner can discard their version
-// bookkeeping; the slice is reused scratch, valid only until the next call.
+// stay valid, bits clear). An invalidated line takes its version with it.
 //
-// Only the lines in the speculative sets are visited — the sets mirror the
-// SR/SM bits exactly — so the cost scales with the transaction footprint,
-// not the cache size, and the set maps are cleared in place rather than
-// reallocated. The returned order follows map iteration: its only consumer
-// deletes version entries, which is order-independent, so determinism is
-// unaffected.
-func (c *Cache) ClearSpeculative(abort bool) (dropped []mem.LineAddr) {
-	if abort {
-		dropped = c.dropScratch[:0]
-		for l := range c.specMod {
-			if ln := c.find(l); ln != nil {
-				ln.valid = false // speculative data never became architectural
-				ln.sr, ln.sm = false, false
-				dropped = append(dropped, l)
-			}
+// Only the lines listed since the last clear are visited, so the cost
+// scales with the transaction footprint, not the cache size. What happens
+// to a listed line depends only on the bits it carries now, which makes
+// stale and repeated entries harmless and the visiting order irrelevant.
+func (c *Cache) ClearSpeculative(abort bool) {
+	for _, l := range c.spec {
+		ln := c.find(l)
+		if ln == nil {
+			continue
 		}
-		c.dropScratch = dropped
-	} else {
-		for l := range c.specMod {
-			if ln := c.find(l); ln != nil {
-				ln.sm = false
-			}
+		if abort && ln.sm {
+			ln.valid = false // speculative data never became architectural
 		}
+		ln.sr, ln.sm = false, false
 	}
-	for l := range c.specRead {
-		if ln := c.find(l); ln != nil {
-			ln.sr = false
-		}
-	}
-	clear(c.specRead)
-	clear(c.specMod)
-	return dropped
+	c.spec = c.spec[:0]
 }
 
 // Reset returns the cache to its post-construction state — every line
-// invalid, LRU clock at zero, counters and speculative sets cleared —
-// keeping the line array, the set maps' storage, and the drop scratch, so
-// a reused cache warms up without reallocating.
+// invalid, LRU clock at zero, counters and the speculative list cleared —
+// keeping the line array and the list's storage, so a reused cache warms
+// up without reallocating.
 func (c *Cache) Reset() {
 	clear(c.lines)
 	c.tick = 0
 	c.stats = Stats{}
-	clear(c.specRead)
-	clear(c.specMod)
+	c.spec = c.spec[:0]
 }
 
 // Invalidate drops the line if present (coherence invalidation from a
@@ -310,7 +268,6 @@ func (c *Cache) Invalidate(l mem.LineAddr) (present, wasSpecRead bool) {
 	}
 	c.stats.Invalidations++
 	wasSpecRead = ln.sr
-	c.dropSpec(ln)
-	ln.valid = false
+	ln.valid, ln.sr, ln.sm = false, false, false
 	return true, wasSpecRead
 }

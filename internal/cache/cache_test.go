@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +18,25 @@ func small(t *testing.T) *Cache {
 	t.Helper()
 	// 4 sets x 2 ways x 64B = 512B cache: tiny, to force evictions.
 	return MustNew(geom(t), Config{SizeBytes: 512, Ways: 2})
+}
+
+// specLines scans every way of the cache and returns the valid lines
+// carrying the SR bit and those carrying the SM bit, in ascending order.
+func specLines(c *Cache) (rs, ws []mem.LineAddr) {
+	for _, ln := range c.lines {
+		if !ln.valid {
+			continue
+		}
+		if ln.sr {
+			rs = append(rs, ln.tag)
+		}
+		if ln.sm {
+			ws = append(ws, ln.tag)
+		}
+	}
+	slices.Sort(rs)
+	slices.Sort(ws)
+	return rs, ws
 }
 
 func TestNewValidation(t *testing.T) {
@@ -73,8 +93,8 @@ func TestSpeculativeBitsTracked(t *testing.T) {
 	if !c.SpeculativelyRead(1) || !c.SpeculativelyModified(1) {
 		t.Fatal("line 1 should be SR+SM")
 	}
-	if c.ReadSetSize() != 1 || c.WriteSetSize() != 2 {
-		t.Fatalf("set sizes rs=%d ws=%d", c.ReadSetSize(), c.WriteSetSize())
+	if rs, ws := specLines(c); len(rs) != 1 || len(ws) != 2 {
+		t.Fatalf("speculative lines rs=%v ws=%v", rs, ws)
 	}
 }
 
@@ -83,14 +103,13 @@ func TestReadWriteSetsSortedAndDistinct(t *testing.T) {
 	for _, l := range []mem.LineAddr{900, 3, 55, 3, 900} {
 		c.Access(l, false)
 	}
-	rs := c.ReadSet()
 	want := []mem.LineAddr{3, 55, 900}
-	if len(rs) != len(want) {
-		t.Fatalf("ReadSet %v, want %v", rs, want)
+	if rs, _ := specLines(c); !slices.Equal(rs, want) {
+		t.Fatalf("SR lines %v, want %v", rs, want)
 	}
-	for i := range want {
-		if rs[i] != want[i] {
-			t.Fatalf("ReadSet %v, want %v", rs, want)
+	for _, l := range want {
+		if !c.SpeculativelyRead(l) {
+			t.Fatalf("line %d not SR", l)
 		}
 	}
 }
@@ -121,8 +140,8 @@ func TestEvictionDropsSpecReadBit(t *testing.T) {
 	if c.SpeculativelyRead(0) {
 		t.Fatal("evicted line still reports SR")
 	}
-	if c.ReadSetSize() != 2 {
-		t.Fatalf("ReadSetSize %d, want 2", c.ReadSetSize())
+	if rs, _ := specLines(c); !slices.Equal(rs, []mem.LineAddr{4, 8}) {
+		t.Fatalf("SR lines %v, want [4 8]", rs)
 	}
 }
 
@@ -167,8 +186,8 @@ func TestClearSpeculativeCommitKeepsLines(t *testing.T) {
 	if c.SpeculativelyRead(1) || c.SpeculativelyModified(2) {
 		t.Fatal("commit-clear left speculative bits")
 	}
-	if c.ReadSetSize() != 0 || c.WriteSetSize() != 0 {
-		t.Fatal("commit-clear left set entries")
+	if rs, ws := specLines(c); len(rs) != 0 || len(ws) != 0 {
+		t.Fatalf("commit-clear left speculative lines rs=%v ws=%v", rs, ws)
 	}
 }
 
@@ -214,8 +233,10 @@ func TestInvalidateNonSpeculativeLine(t *testing.T) {
 	}
 }
 
-// Property: after any access sequence, ReadSet/WriteSet agree with the
-// per-line predicates and contain no duplicates.
+// Property: after any access sequence, the lines carrying SR/SM bits agree
+// with the per-line predicates, contain no duplicates, and are all on the
+// speculative list the flash-clear walks — and the flash-clear then
+// leaves no bit behind.
 func TestQuickSetConsistency(t *testing.T) {
 	g := mem.MustGeometry(64, 4, 1<<24)
 	f := func(seed uint64, opsRaw []byte) bool {
@@ -230,7 +251,7 @@ func TestQuickSetConsistency(t *testing.T) {
 				continue
 			}
 		}
-		rs, ws := c.ReadSet(), c.WriteSet()
+		rs, ws := specLines(c)
 		seen := map[mem.LineAddr]bool{}
 		for _, l := range rs {
 			if seen[l] || !c.SpeculativelyRead(l) {
@@ -245,10 +266,14 @@ func TestQuickSetConsistency(t *testing.T) {
 			}
 			seen[l] = true
 		}
-		if len(rs) != c.ReadSetSize() || len(ws) != c.WriteSetSize() {
-			return false
+		for _, l := range append(rs, ws...) {
+			if !slices.Contains(c.spec, l) {
+				return false
+			}
 		}
-		return true
+		c.ClearSpeculative(rng.Bool(0.5))
+		rs, ws = specLines(c)
+		return len(rs) == 0 && len(ws) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -273,5 +298,38 @@ func TestQuickStatsBalance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestVersionLivesWithLine(t *testing.T) {
+	c := small(t) // 4 sets, 2 ways
+	c.SetVersion(0, 9)
+	if c.Version(0) != 0 {
+		t.Fatal("SetVersion on an absent line recorded a version")
+	}
+	c.Access(0, false)
+	if c.Version(0) != 0 {
+		t.Fatal("fresh line carries a version")
+	}
+	c.SetVersion(0, 7)
+	if c.Version(0) != 7 {
+		t.Fatalf("Version(0) = %d, want 7", c.Version(0))
+	}
+	c.Access(4, false)
+	c.Access(8, false) // evicts 0 (LRU)
+	c.Access(0, false) // reallocated: the old version must not resurface
+	if c.Version(0) != 0 {
+		t.Fatalf("reallocated line kept version %d", c.Version(0))
+	}
+	c.SetVersion(0, 3)
+	c.Invalidate(0)
+	if c.Version(0) != 0 {
+		t.Fatal("invalidated line still reports a version")
+	}
+	c.Access(12, true)
+	c.SetVersion(12, 5)
+	c.ClearSpeculative(true) // abort drops the written line and its version
+	if c.Present(12) || c.Version(12) != 0 {
+		t.Fatal("abort-dropped line still reports a version")
 	}
 }

@@ -122,21 +122,20 @@ type Processor struct {
 	opIdx    int
 	attempts int // execution attempts of the current transaction
 
-	readSet  map[mem.LineAddr]struct{}
-	writeSet map[mem.LineAddr]struct{}
-	// versions records, for every line resident in the L1, the commit
-	// version of the data the cache holds. readVersions snapshots the
-	// version each line had when this transaction first read it; the
-	// commit-time validation phase compares those snapshots against the
-	// directories' current versions (Scalable TCC's validation).
-	versions     map[mem.LineAddr]uint64
-	readVersions map[mem.LineAddr]uint64
-	// announcedDirs tracks the home directories that have received this
-	// transaction's eager store-address announcements (Scalable TCC
-	// communicates write addresses during execution; data moves at
-	// commit). The announcement is what keeps the directory's "Marked"
-	// bit set for the renewal check while the transaction executes.
-	announcedDirs map[int]bool
+	// fp is the transaction's read- and write-set. Each read line
+	// carries the version it had when this transaction first read it
+	// (taken from the L1 line on a hit, from the miss reply otherwise);
+	// the commit-time validation phase compares those snapshots against
+	// the directories' current versions (Scalable TCC's validation).
+	fp footprint
+	// announced flags the home directories that have received this
+	// transaction's eager store-address announcements, listed in
+	// announcedDirs (Scalable TCC communicates write addresses during
+	// execution; data moves at commit). The announcement is what keeps
+	// the directory's "Marked" bit set for the renewal check while the
+	// transaction executes.
+	announced     []bool
+	announcedDirs []int
 
 	tid         tokens.TID
 	commitDirs  []int // directories the current commit touches, ascending
@@ -330,17 +329,14 @@ func (p *Processor) wakeFired(w *wakeOp) {
 
 func newProcessor(id int, sys *System, l1 *cache.Cache, thread *workload.Thread) *Processor {
 	p := &Processor{
-		id:            id,
-		sys:           sys,
-		l1:            l1,
-		thread:        thread,
-		state:         stateIdle,
-		readSet:       make(map[mem.LineAddr]struct{}),
-		writeSet:      make(map[mem.LineAddr]struct{}),
-		versions:      make(map[mem.LineAddr]uint64),
-		readVersions:  make(map[mem.LineAddr]uint64),
-		announcedDirs: make(map[int]bool),
-		dirFlag:       make([]bool, sys.cfg.Machine.Directories),
+		id:        id,
+		sys:       sys,
+		l1:        l1,
+		thread:    thread,
+		state:     stateIdle,
+		fp:        newFootprint(),
+		announced: make([]bool, sys.cfg.Machine.Directories),
+		dirFlag:   make([]bool, sys.cfg.Machine.Directories),
 	}
 	p.advanceFn = func() {
 		p.pending = sim.EventRef{}
@@ -364,7 +360,7 @@ func newProcessor(id int, sys *System, l1 *cache.Cache, thread *workload.Thread)
 
 // reset rewires the processor onto a new thread and returns every piece
 // of run state to its post-newProcessor value, keeping the allocated
-// storage: the speculative-set maps and scratch buffers clear in place,
+// storage: the footprint table and scratch buffers clear in place,
 // the L1 flash-invalidates, and the pooled round-trip free lists survive
 // (ops that were in flight when the previous run ended were dropped with
 // the engine's events and simply leave the pool smaller). The state is
@@ -378,11 +374,9 @@ func (p *Processor) reset(thread *workload.Thread) {
 	p.txIdx = 0
 	p.opIdx = 0
 	p.attempts = 0
-	clear(p.readSet)
-	clear(p.writeSet)
-	clear(p.versions)
-	clear(p.readVersions)
-	clear(p.announcedDirs)
+	p.fp.clear()
+	clear(p.announced)
+	p.announcedDirs = p.announcedDirs[:0]
 	p.tid = tokens.TIDNone
 	p.commitDirs = p.commitDirs[:0]
 	p.commitsLeft = 0
@@ -471,17 +465,12 @@ func (p *Processor) step() {
 			write := op.Kind == workload.OpWrite
 			hit, inserted := p.accessCache(op.Line, write)
 			if write {
-				p.writeSet[op.Line] = struct{}{}
+				p.fp.addWrite(op.Line)
 				p.announceIntent(op.Line)
-			} else {
-				p.readSet[op.Line] = struct{}{}
-				if hit {
-					// Snapshot the version of the cached data the first
-					// time this transaction reads the line.
-					if _, ok := p.readVersions[op.Line]; !ok {
-						p.readVersions[op.Line] = p.versions[op.Line]
-					}
-				}
+			} else if e := p.fp.addRead(op.Line); hit && e.flags&fpVersion == 0 {
+				// Snapshot the version of the cached data the first
+				// time this transaction reads the line.
+				e.snapshot(p.l1.Version(op.Line))
 			}
 			if hit {
 				// Hit: pay the L1 latency, continue with the next op.
@@ -504,17 +493,11 @@ func (p *Processor) step() {
 func (p *Processor) accessCache(l mem.LineAddr, write bool) (hit, resident bool) {
 	res, err := p.l1.Access(l, write)
 	if err == nil {
-		if res.Evicted {
-			delete(p.versions, res.Victim)
-		}
 		return res.Hit, true
 	}
 	p.sys.counters.Overflows++
 	res, err = p.l1.Access(l, false)
 	if err == nil {
-		if res.Evicted {
-			delete(p.versions, res.Victim)
-		}
 		return res.Hit, true
 	}
 	// Even the read allocation failed: bypass the cache entirely and
@@ -529,10 +512,11 @@ func (p *Processor) accessCache(l mem.LineAddr, write bool) (hit, resident bool)
 // the in-flight announcement via the generation guard.
 func (p *Processor) announceIntent(l mem.LineAddr) {
 	home := p.sys.geom.HomeDir(l)
-	if p.announcedDirs[home] {
+	if p.announced[home] {
 		return
 	}
-	p.announcedDirs[home] = true
+	p.announced[home] = true
+	p.announcedDirs = append(p.announcedDirs, home)
 	a := p.getAnnounce()
 	a.dir, a.gen = p.sys.dirs[home], p.gen
 	p.sys.bus.Send(p.id, p.sys.dirNode(home), p.sys.lineBank(l), a.fn)
@@ -553,16 +537,17 @@ func (p *Processor) announceDelivered(a *announceOp) {
 
 // withdrawIntents clears this transaction's announcements everywhere.
 func (p *Processor) withdrawIntents() {
-	for di := range p.announcedDirs {
+	for _, di := range p.announcedDirs {
 		p.sys.dirs[di].WithdrawIntent(p.id)
+		p.announced[di] = false
 	}
-	clear(p.announcedDirs)
+	p.announcedDirs = p.announcedDirs[:0]
 }
 
 // issueMiss sends a read request to the line's home directory and stalls.
 // The reply carries the commit version of the delivered data: it refreshes
-// the resident-line version table and, for reads, snapshots the
-// transaction's read version.
+// the resident line's version and, for reads, snapshots the transaction's
+// read version.
 func (p *Processor) issueMiss(l mem.LineAddr, read, resident bool) {
 	p.setState(stateWaitMiss)
 	home := p.sys.geom.HomeDir(l)
@@ -582,16 +567,14 @@ func (p *Processor) missReply(m *missOp, version uint64) {
 	p.missFree = append(p.missFree, m)
 	// The fill lands in the cache whatever the fate of the transaction
 	// that requested it.
-	if resident && p.l1.Present(l) {
-		p.versions[l] = version
+	if resident {
+		p.l1.SetVersion(l, version)
 	}
 	if p.gen != gen {
 		return // transaction died while the miss was in flight
 	}
 	if read {
-		if _, ok := p.readVersions[l]; !ok {
-			p.readVersions[l] = version
-		}
+		p.fp.add(l).snapshot(version)
 	}
 	p.setState(stateRunTx)
 	p.opIdx++
@@ -602,7 +585,7 @@ func (p *Processor) missReply(m *missOp, version uint64) {
 // commit locally: with nothing to publish, TCC needs no token and no
 // directory writes. Writing transactions request a TID.
 func (p *Processor) reachCommitPoint() {
-	if len(p.writeSet) == 0 {
+	if p.fp.writes == 0 {
 		p.stats.ReadOnlyCommits++
 		p.completeCommit()
 		return
@@ -644,8 +627,12 @@ func (p *Processor) tokenReply(t *tokenOp) {
 func (p *Processor) enterCommitQueue() {
 	p.setState(stateCommitWait)
 	p.commitDirs = p.commitDirs[:0]
-	for l := range p.writeSet {
-		home := p.sys.geom.HomeDir(l)
+	for i := range p.fp.len() {
+		e := p.fp.entry(i)
+		if e.flags&fpWrite == 0 {
+			continue
+		}
+		home := p.sys.geom.HomeDir(e.line)
 		if !p.dirFlag[home] {
 			p.dirFlag[home] = true
 			p.commitDirs = append(p.commitDirs, home)
@@ -667,8 +654,12 @@ func (p *Processor) enterCommitQueue() {
 // is order-independent.
 func (p *Processor) readDirs() []int {
 	out := p.readDirsBuf[:0]
-	for l := range p.readSet {
-		home := p.sys.geom.HomeDir(l)
+	for i := range p.fp.len() {
+		e := p.fp.entry(i)
+		if e.flags&fpRead == 0 {
+			continue
+		}
+		home := p.sys.geom.HomeDir(e.line)
 		if !p.dirFlag[home] {
 			p.dirFlag[home] = true
 			out = append(out, home)
@@ -685,11 +676,15 @@ func (p *Processor) readDirs() []int {
 // grant: every line this transaction read must still be at the version it
 // was read at. A mismatch means an older transaction committed over the
 // read-set while our invalidation was still in flight; the transaction
-// aborts instead of committing.
+// aborts instead of committing. A read line without a snapshot validates
+// against version 0.
 func (p *Processor) validateReadSet() bool {
-	for l := range p.readSet {
-		home := p.sys.geom.HomeDir(l)
-		if p.sys.dirs[home].Version(l) != p.readVersions[l] {
+	for i := range p.fp.len() {
+		e := p.fp.entry(i)
+		if e.flags&fpRead == 0 {
+			continue
+		}
+		if p.sys.dirs[p.sys.geom.HomeDir(e.line)].Version(e.line) != e.version {
 			return false
 		}
 	}
@@ -718,8 +713,10 @@ func (p *Processor) grant() {
 	// every directory's commit walk completes (completeCommit runs only
 	// after the last one), so handing them to BeginCommit is safe.
 	lines := p.commitScratch[:0]
-	for l := range p.writeSet {
-		lines = append(lines, l)
+	for i := range p.fp.len() {
+		if e := p.fp.entry(i); e.flags&fpWrite != 0 {
+			lines = append(lines, e.line)
+		}
 	}
 	p.commitScratch = lines
 	geom := p.sys.geom
@@ -772,12 +769,8 @@ func (p *Processor) finishThread() {
 // clearSpec flash-clears speculative state. abort=true also drops the
 // speculatively written lines from the cache.
 func (p *Processor) clearSpec(abort bool) {
-	for _, l := range p.l1.ClearSpeculative(abort) {
-		delete(p.versions, l)
-	}
-	clear(p.readSet)
-	clear(p.writeSet)
-	clear(p.readVersions)
+	p.l1.ClearSpeculative(abort)
+	p.fp.clear()
 	p.withdrawIntents()
 }
 
@@ -812,7 +805,6 @@ func (p *Processor) abortCurrent(restart bool) {
 func (p *Processor) DeliverInvalidation(line mem.LineAddr, aborter, dir int) bool {
 	// Drop the line from the cache regardless of transactional outcome.
 	p.l1.Invalidate(line)
-	delete(p.versions, line)
 	switch p.state {
 	case stateCommitting, stateDone, stateIdle:
 		// Commit-immune, finished, or not yet started: no abort.
@@ -824,7 +816,7 @@ func (p *Processor) DeliverInvalidation(line mem.LineAddr, aborter, dir int) boo
 		// directory would double-count).
 		return false
 	}
-	if _, ok := p.readSet[line]; !ok {
+	if !p.fp.isRead(line) {
 		return false // write-only overlap: TCC write-write is not a conflict
 	}
 	p.stats.Aborts++
@@ -873,9 +865,7 @@ func (p *Processor) Gated() bool { return p.state == stateGated }
 // version assigned to one of our own committed lines, whose data stays
 // valid in the L1 after the commit.
 func (p *Processor) NoteLineCommitted(l mem.LineAddr, version uint64) {
-	if p.l1.Present(l) {
-		p.versions[l] = version
-	}
+	p.l1.SetVersion(l, version)
 }
 
 // TxInfo implements directory.ProcessorPort: the id of the transaction
