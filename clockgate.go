@@ -63,7 +63,10 @@
 // multi-seed error bars and the ablation suite are all cell providers on
 // the same engine — Session.RunScenarios, Session.Fig7,
 // Session.MultiSeed, Session.Ablations — so they share the pool, the
-// trace cache and the checkpoint machinery.
+// trace cache and the checkpoint machinery. The trace cache carries a run
+// memo: a run identical to one the session already simulated (same
+// trace, same machine config) is shared, not repeated, so `-all`'s
+// Figure 7 re-uses the campaign's ungated baselines and W0=8 runs.
 //
 // # Distributed campaigns
 //
@@ -458,7 +461,8 @@ type Outcome = core.Outcome
 func DefaultCampaignOptions() CampaignOptions { return experiments.DefaultOptions() }
 
 // Session is the campaign engine every sweep runs on: it owns a worker
-// pool, a workload-trace cache, and an optional JSONL checkpoint sink.
+// pool, a workload-trace cache with a run memo (each distinct run is
+// simulated once per session), and an optional JSONL checkpoint sink.
 // Create one with NewSession, run any number of sweeps on it (Run,
 // Stream, RunScenarios, Fig7, MultiSeed, Ablations), and Close it when
 // done. See the package documentation for the streaming and resume

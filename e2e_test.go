@@ -106,6 +106,7 @@ func TestE2EScenarios(t *testing.T) {
 	opts := DefaultCampaignOptions()
 	opts.Scale = e2eScale
 	opts.Workers = runtime.GOMAXPROCS(0)
+	// Run memo: a pair's ungated and gated runs differ in config.Config (Gating.Enabled), so no check below compares a run with itself.
 	session := NewSession(opts)
 	defer session.Close()
 
@@ -203,6 +204,7 @@ func TestE2ECampaignParityWithPublicAPI(t *testing.T) {
 	}
 	opts := DefaultCampaignOptions()
 	opts.Scale = e2eScale
+	// Run memo: the campaign runs on its own one-shot Session, the single run on none.
 	campaign, err := RunScenarios(opts, []Scenario{s})
 	if err != nil {
 		t.Fatal(err)

@@ -60,6 +60,7 @@ func TestBankedOneBankGoldenOverDoneSet(t *testing.T) {
 	opts.Scale = e2eScale
 	opts.Workers = runtime.GOMAXPROCS(0)
 
+	// Run memo: one Session, but the sides differ in config.Config (Machine.Banks), so no run is shared.
 	session := NewSession(opts)
 	defer session.Close()
 

@@ -36,6 +36,13 @@ type RunSpec struct {
 	// Configure, if non-nil, edits the machine configuration before each
 	// run (applied to both the gated and ungated run).
 	Configure func(*config.Config)
+	// Memo, if non-nil, supplies each run of the pair from a lookup: it
+	// is called with the run's exact machine config and a function that
+	// simulates that run on the spec's trace, and returns the run's
+	// result — either simulated by run or shared from an earlier run of
+	// the same trace and config. The result is shared read-only (see
+	// tcc.Result). A nil Memo simulates both runs.
+	Memo func(ctx context.Context, cfg config.Config, run func() (*tcc.Result, error)) (*tcc.Result, error)
 }
 
 func (rs RunSpec) model() power.Model {
@@ -153,7 +160,9 @@ func RunPairCtx(ctx context.Context, rs RunSpec) (*Outcome, error) {
 // both runs of the pair (and every later pair of the same machine shape)
 // execute on one reused System instead of constructing a fresh machine
 // per run. A nil cache selects fresh construction — the exact RunPairCtx
-// behavior — and results are byte-identical either way.
+// behavior — and results are byte-identical either way. A spec with a
+// Memo takes each run from it instead; the comparison is still computed
+// per call, under the spec's own power model.
 func RunPairCached(ctx context.Context, rs RunSpec, sc *SystemCache) (*Outcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -186,8 +195,19 @@ func RunPairCached(ctx context.Context, rs RunSpec, sc *SystemCache) (*Outcome, 
 	}, nil
 }
 
+// runWith produces one run of the pair: through the spec's Memo when it
+// has one, by simulating directly otherwise.
 func runWith(ctx context.Context, rs RunSpec, gated bool, tr *workload.Trace, sc *SystemCache) (*tcc.Result, error) {
 	cfg := rs.config(gated)
+	if rs.Memo == nil {
+		return simulate(ctx, cfg, tr, sc)
+	}
+	return rs.Memo(ctx, cfg, func() (*tcc.Result, error) { return simulate(ctx, cfg, tr, sc) })
+}
+
+// simulate executes one run of cfg on tr, on the cached System when its
+// shape matches and on a freshly built one otherwise.
+func simulate(ctx context.Context, cfg config.Config, tr *workload.Trace, sc *SystemCache) (*tcc.Result, error) {
 	if sc != nil && sc.sys != nil {
 		switch err := sc.sys.Reset(cfg, tr); {
 		case err == nil:

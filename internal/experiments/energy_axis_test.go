@@ -89,8 +89,15 @@ func TestTraceCacheIgnoresTech(t *testing.T) {
 		t.Fatalf("cells differing only in tech occupy %d trace-cache entries, want 1", entries)
 	}
 	// Same timings, different pricing: the cycle counts agree, the energy
-	// totals do not (t32 leaks more).
-	if outs[0].Comparison.N2 != outs[1].Comparison.N2 {
+	// totals do not (t32 leaks more). The run memo shares both runs of the
+	// pair on this session, so the t32 timing comes from its own Session.
+	own := NewSession(Options{Seed: 7, Scale: 0.02})
+	defer own.Close()
+	alone, err := own.RunCells(context.Background(), []Cell{repriced})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0].Comparison.N2 != alone[0].Comparison.N2 {
 		t.Fatal("tech changed timing; it must be a pure pricing axis")
 	}
 	if outs[0].Comparison.Eg == outs[1].Comparison.Eg {

@@ -302,7 +302,8 @@ var Fig7W0Values = []sim.Time{2, 4, 8, 16, 32}
 // be identical across the W0 axis, or the sweep would confound gating
 // sensitivity with workload randomness. Because the session's trace cache
 // keys on (app, threads, seed) and not on W0, each (app, Np) workload is
-// generated once and shared across the whole W0 axis.
+// generated once and shared across the whole W0 axis; so, through the run
+// memo, is its ungated baseline run, which W0 never reaches.
 func fig7Cells(o Options) []Cell {
 	var cells []Cell
 	for _, np := range o.processors() {
@@ -335,9 +336,11 @@ func Fig7(o Options) (string, error) {
 
 // Fig7 runs the W0/Np speed-up sensitivity sweep (paper Figure 7).
 // Speed-ups are averaged over the campaign's applications for each
-// (W0, Np) point. The sweep's |Np|x5x|apps| paired runs execute as one
-// cell set on the session's worker pool, sharing one cached trace per
-// (app, Np) point across the W0 axis.
+// (W0, Np) point. The sweep's |Np|x5x|apps| cells execute as one cell
+// set on the session's worker pool, sharing one cached trace and one
+// ungated run per (app, Np) point across the W0 axis; on a session that
+// already ran the campaign, the gated runs at the campaign's W0 are
+// shared too.
 func (s *Session) Fig7(ctx context.Context) (string, error) {
 	o := s.opts
 	apps := o.apps()

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"iter"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/stamp"
+	"repro/internal/tcc"
 	"repro/internal/tracestore"
 	"repro/internal/workload"
 )
@@ -19,10 +21,19 @@ import (
 // Session is the campaign execution engine behind every sweep in this
 // package: a long-lived runner that owns a worker pool (Options.Workers
 // goroutines, started lazily), a per-(app, threads, scale, contention,
-// seed) trace cache, and an optional JSONL checkpoint sink. Create one
-// with NewSession, run any number of sweeps on it — Run, RunCells,
-// Stream, RunScenarios, Fig7, MultiSeed, Ablations — and Close it when
-// done.
+// seed) trace cache with a run memo hung off each trace, and an optional
+// JSONL checkpoint sink. Create one with NewSession, run any number of
+// sweeps on it — Run, RunCells, Stream, RunScenarios, Fig7, MultiSeed,
+// Ablations — and Close it when done.
+//
+// The run memo simulates each distinct run once per Session: every
+// ungated or gated run whose (trace, exact config.Config) matches one the
+// Session already computed shares that read-only tcc.Result, so the
+// campaign and Fig7 on one Session share the ungated baseline of each
+// (app, Np) point and the W0=8 gated run. Each cell still gets its own
+// core.Outcome, priced under its own technology point. Failed or
+// cancelled runs are never memoized, and Options.NoTraceCache turns the
+// memo off with the trace cache. Simulated and Shared count the runs.
 //
 // Two execution shapes share one engine. Stream yields per-cell results
 // in completion order, as they finish; Run and RunCells collect the same
@@ -52,6 +63,10 @@ type Session struct {
 	store     *tracestore.Store
 	storeErr  error
 
+	// simulated and shared count the runs the memo computed and the runs
+	// it served from an earlier computation (see Simulated, Shared).
+	simulated, shared atomic.Uint64
+
 	ckpt *Checkpoint
 }
 
@@ -69,12 +84,22 @@ func NewSession(o Options) *Session {
 // Options returns the options the session was created with.
 func (s *Session) Options() Options { return s.opts }
 
+// Simulated counts the runs (ungated or gated) the session simulated to
+// completion. With the trace cache on and no entry evicted, each distinct
+// (trace, config) run counts once, whatever the worker count.
+func (s *Session) Simulated() uint64 { return s.simulated.Load() }
+
+// Shared counts the runs the session served from the run memo instead of
+// simulating: runs identical to one it had already computed.
+func (s *Session) Shared() uint64 { return s.shared.Load() }
+
 // Close stops the worker pool, closes the checkpoint sink and releases
 // the on-disk trace store, if any. Close waits for no in-flight work;
 // finish or cancel streams first. Store-loaded traces alias mmap'd
 // regions Close unmaps, so the in-process trace cache is purged with it
 // — a task that straggles in after Close regenerates inline instead of
-// touching unmapped memory.
+// touching unmapped memory. The run memo hangs off the trace cache and
+// goes with it.
 func (s *Session) Close() error {
 	var err error
 	s.closed.Do(func() {
@@ -352,23 +377,82 @@ func (s *Session) cellSpec(c Cell) (core.RunSpec, error) {
 		}
 	}
 	rs.Configure = configure
-	tr, err := s.trace(c)
+	tr, e, err := s.trace(c)
 	if err != nil {
 		return core.RunSpec{}, err
 	}
 	rs.Trace = tr
+	rs.Memo = func(ctx context.Context, cfg config.Config, run func() (*tcc.Result, error)) (*tcc.Result, error) {
+		return s.memoRun(ctx, e, cfg, run)
+	}
 	return rs, nil
+}
+
+// memoRun is the session's run memo, the core.RunSpec.Memo of every cell:
+// it returns the result of the run of e's trace under cfg, simulating it
+// with run only if no earlier run computed it. A nil e (the trace cache is
+// off) always simulates. Concurrent cells needing one run simulate it once
+// (single flight) and share the read-only result. A failed or cancelled
+// run leaves no entry behind: each waiter that sees the failure retries,
+// so the first to get back in simulates the run itself and the rest wait
+// on it again, and a cancelled stream never poisons a later one.
+func (s *Session) memoRun(ctx context.Context, e *traceEntry, cfg config.Config, run func() (*tcc.Result, error)) (*tcc.Result, error) {
+	var slot *runSlot // ours to fill once we hold the key
+	for e != nil && slot == nil {
+		e.runMu.Lock()
+		held, inFlight := e.runs[cfg]
+		if !inFlight {
+			if e.runs == nil {
+				e.runs = make(map[config.Config]*runSlot)
+			}
+			slot = &runSlot{done: make(chan struct{})}
+			e.runs[cfg] = slot
+		}
+		e.runMu.Unlock()
+		if inFlight {
+			select {
+			case <-held.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			if held.res != nil {
+				s.shared.Add(1)
+				return held.res, nil
+			}
+		}
+	}
+	res, err := run()
+	if slot != nil {
+		e.runMu.Lock()
+		if err != nil {
+			delete(e.runs, cfg)
+		} else {
+			slot.res = res
+		}
+		e.runMu.Unlock()
+		close(slot.done)
+	}
+	if err == nil {
+		s.simulated.Add(1)
+	}
+	return res, err
 }
 
 // traceKey identifies a generated trace. W0, the interconnect shape
 // (Cell.Banks, Cell.Topology) and the variant are absent on purpose:
 // they change the machine, never the workload, which is what lets Fig7's
-// W0 sweep, the
-// ablation suite and the interconnect differential goldens share one
-// trace per (app, threads, seed) point. Processor count IS in the key
-// (threads): two cells at different machine widths generate different
-// workloads even when every other axis matches. Pinned by
+// W0 sweep, the ablation suite and the interconnect differential goldens
+// share one trace per (app, threads, seed) point. Processor count IS in
+// the key (threads): two cells at different machine widths generate
+// different workloads even when every other axis matches. Pinned by
 // TestTraceCacheKeyAudit.
+//
+// A traceKey plus a run's exact config.Config is also the run memo's key,
+// so Fig7 shares runs, not only traces: its W0 axis never reaches the
+// ungated baseline, which every W0 point of an (app, Np) point shares
+// with the campaign cell, and its W0=8 gated run is the campaign cell's.
+// Every Cell field must reach one of the two or be proven
+// simulation-neutral; TestRunMemoKeyAudit pins it.
 type traceKey struct {
 	app        stamp.App
 	threads    int
@@ -383,13 +467,28 @@ type traceKey struct {
 // across both runs of a pair), so sharing across concurrent cells is
 // safe. lastUse and useCount (guarded by traceMu) drive the
 // reuse-count-aware LRU eviction policy.
+//
+// runs is the trace's run memo (see memoRun), keyed by the exact config
+// a run was built from. It lives and dies with the entry, so the trace
+// cache's bound and eviction bound it too.
 type traceEntry struct {
 	once sync.Once
 	tr   *workload.Trace
 	err  error
 
+	runMu sync.Mutex
+	runs  map[config.Config]*runSlot
+
 	lastUse  uint64
 	useCount uint64
+}
+
+// runSlot is one memoized run: done closes when the simulating cell
+// finishes, and res holds the result if the run succeeded (a failed run's
+// slot is removed from the memo before done closes).
+type runSlot struct {
+	done chan struct{}
+	res  *tcc.Result
 }
 
 // maxCachedTraces bounds the session trace cache. Sweeps that profit
@@ -397,9 +496,9 @@ type traceEntry struct {
 // sharing inside a cell) need only a handful of workload keys live at
 // once; a long multi-seed campaign would otherwise accumulate every
 // seed's traces until Close. Above the bound the reuse-count-aware LRU
-// policy evicts the least valuable entry — regeneration is
-// deterministic, so eviction can never change results, only cost a
-// re-generation.
+// policy evicts the least valuable entry, and its run memo with it —
+// regeneration and simulation are deterministic, so eviction can never
+// change results, only cost a re-generation or a re-simulation.
 const maxCachedTraces = 64
 
 // evictTrace drops the least valuable cache entry: among the entries with
@@ -471,12 +570,14 @@ func (s *Session) provisionTrace(c Cell) (*workload.Trace, error) {
 	})
 }
 
-// trace returns the cell's workload trace, generating it on first use and
-// serving every later request for the same (app, threads, scale,
-// contention, seed) from the cache.
-func (s *Session) trace(c Cell) (*workload.Trace, error) {
+// trace returns the cell's workload trace and its cache entry, generating
+// the trace on first use and serving every later request for the same
+// (app, threads, scale, contention, seed) from the cache. The entry is nil
+// when the trace cache is off.
+func (s *Session) trace(c Cell) (*workload.Trace, *traceEntry, error) {
 	if s.opts.NoTraceCache {
-		return s.provisionTrace(c)
+		tr, err := s.provisionTrace(c)
+		return tr, nil, err
 	}
 	scale := s.opts.Scale
 	if scale == 0 {
@@ -505,7 +606,7 @@ func (s *Session) trace(c Cell) (*workload.Trace, error) {
 	e.once.Do(func() {
 		e.tr, e.err = s.provisionTrace(c)
 	})
-	return e.tr, e.err
+	return e.tr, e, e.err
 }
 
 // generateCellTrace builds the cell's trace exactly as an uncached run

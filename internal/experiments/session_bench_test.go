@@ -24,7 +24,7 @@ func BenchmarkCampaignTraceCache(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := NewSession(opt)
 				for _, c := range cells {
-					if _, err := s.trace(c); err != nil {
+					if _, _, err := s.trace(c); err != nil {
 						b.Fatal(err)
 					}
 				}

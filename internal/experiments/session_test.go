@@ -151,18 +151,18 @@ func TestTraceCacheSharesGeneration(t *testing.T) {
 	o := Options{Seed: 42, Scale: 0.05}
 	s := NewSession(o)
 	defer s.Close()
-	a, err := s.trace(Cell{App: "intruder", Processors: 4, W0: 2, Seed: 42})
+	a, _, err := s.trace(Cell{App: "intruder", Processors: 4, W0: 2, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.trace(Cell{App: "intruder", Processors: 4, W0: 32, Seed: 42, Variant: VariantRenewalOff})
+	b, _, err := s.trace(Cell{App: "intruder", Processors: 4, W0: 32, Seed: 42, Variant: VariantRenewalOff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("same workload key produced distinct traces across W0/variant")
 	}
-	c, err := s.trace(Cell{App: "intruder", Processors: 4, W0: 2, Seed: 43})
+	c, _, err := s.trace(Cell{App: "intruder", Processors: 4, W0: 2, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestTraceCacheSharesGeneration(t *testing.T) {
 	o.NoTraceCache = true
 	s2 := NewSession(o)
 	defer s2.Close()
-	fresh, err := s2.trace(Cell{App: "intruder", Processors: 4, W0: 2, Seed: 42})
+	fresh, _, err := s2.trace(Cell{App: "intruder", Processors: 4, W0: 2, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func TestTraceCacheBounded(t *testing.T) {
 	s := NewSession(o)
 	defer s.Close()
 	for seed := uint64(0); seed < maxCachedTraces+16; seed++ {
-		if _, err := s.trace(Cell{App: "intruder", Processors: 2, Seed: seed}); err != nil {
+		if _, _, err := s.trace(Cell{App: "intruder", Processors: 2, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -507,7 +507,7 @@ func TestTraceCacheBounded(t *testing.T) {
 		t.Fatalf("cache holds %d entries, cap is %d", n, maxCachedTraces)
 	}
 	// Any key — evicted or not — still resolves.
-	if _, err := s.trace(Cell{App: "intruder", Processors: 2, Seed: 0}); err != nil {
+	if _, _, err := s.trace(Cell{App: "intruder", Processors: 2, Seed: 0}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -536,17 +536,17 @@ func TestTraceCacheLRUKeepsHotKeys(t *testing.T) {
 	defer s.Close()
 
 	hot := traceCellForSeed(7)
-	if _, err := s.trace(hot); err != nil {
+	if _, _, err := s.trace(hot); err != nil {
 		t.Fatal(err)
 	}
 	// Flood with 2x the cache bound in single-use keys, re-touching the
 	// hot key along the way.
 	for i := 0; i < 2*maxCachedTraces; i++ {
-		if _, err := s.trace(traceCellForSeed(1000 + uint64(i))); err != nil {
+		if _, _, err := s.trace(traceCellForSeed(1000 + uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 		if i%8 == 0 {
-			if _, err := s.trace(hot); err != nil {
+			if _, _, err := s.trace(hot); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -574,17 +574,17 @@ func TestTraceCacheLRUEvictsLeastRecentAmongEqualReuse(t *testing.T) {
 	defer s.Close()
 	// Fill exactly to the bound with single-use keys.
 	for i := 0; i < maxCachedTraces; i++ {
-		if _, err := s.trace(traceCellForSeed(uint64(i))); err != nil {
+		if _, _, err := s.trace(traceCellForSeed(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Refresh key 0 (recency only; reuse count now 2 — strictly more
 	// than the others, but also most recent; victim must be key 1: the
 	// least recent among the minimal-reuse entries).
-	if _, err := s.trace(traceCellForSeed(0)); err != nil {
+	if _, _, err := s.trace(traceCellForSeed(0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.trace(traceCellForSeed(9999)); err != nil {
+	if _, _, err := s.trace(traceCellForSeed(9999)); err != nil {
 		t.Fatal(err)
 	}
 	keys := traceCacheKeys(s)
@@ -605,16 +605,16 @@ func TestTraceCacheEvictionPreservesResults(t *testing.T) {
 	s := NewSession(Options{Seed: 1, Scale: 0.01})
 	defer s.Close()
 	c := traceCellForSeed(5)
-	before, err := s.trace(c)
+	before, _, err := s.trace(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < maxCachedTraces+8; i++ {
-		if _, err := s.trace(traceCellForSeed(2000 + uint64(i))); err != nil {
+		if _, _, err := s.trace(traceCellForSeed(2000 + uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after, err := s.trace(c) // regenerated after eviction
+	after, _, err := s.trace(c) // regenerated after eviction
 	if err != nil {
 		t.Fatal(err)
 	}

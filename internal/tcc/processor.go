@@ -486,24 +486,21 @@ func (p *Processor) step() {
 }
 
 // accessCache probes the L1 and reports hit/miss. Speculative overflow
-// (every way of a set pinned by SM lines) falls back to a non-pinning
-// access: the logical write-set still tracks the line, only the cache's
-// timing state degrades. Real TCC would serialize the transaction; the
-// paper's workloads never overflow a 64 KB L1, but tiny-cache tests do.
+// (a miss into a set whose every way is pinned by an SM line) bypasses
+// the cache: the access is charged as a miss, the line is not resident,
+// and the footprint table still tracks it, so only the cache's timing
+// state degrades. Victim choice ignores whether the access writes, so a
+// read allocation into the same set would overflow too; the bypass is
+// final and counts one overflow. Real TCC would serialize the
+// transaction; the paper's workloads never overflow a 64 KB L1, but
+// tiny-cache tests do.
 func (p *Processor) accessCache(l mem.LineAddr, write bool) (hit, resident bool) {
 	res, err := p.l1.Access(l, write)
-	if err == nil {
-		return res.Hit, true
+	if err != nil {
+		p.sys.counters.Overflows++
+		return false, false
 	}
-	p.sys.counters.Overflows++
-	res, err = p.l1.Access(l, false)
-	if err == nil {
-		return res.Hit, true
-	}
-	// Even the read allocation failed: bypass the cache entirely and
-	// charge a miss.
-	p.sys.counters.Overflows++
-	return false, false
+	return res.Hit, true
 }
 
 // announceIntent sends the eager store-address announcement for a line's

@@ -333,7 +333,11 @@ type fixedWindow struct{ w sim.Time }
 func (f fixedWindow) Window(_, _ int) sim.Time { return f.w }
 func (f fixedWindow) Name() string             { return fmt.Sprintf("fixed(%d)", f.w) }
 
-// Result summarizes one run.
+// Result summarizes one run. A Result is immutable once Run returns it:
+// Run builds a fresh Ledger and fresh per-component slices for every run,
+// so nothing a later Reset or Run touches aliases it, and callers only
+// read it. That is what lets one Result be shared, read-only and across
+// goroutines, by every paired run that needs the same (trace, config) run.
 type Result struct {
 	// Cycles is the parallel-section execution time (N1 or N2).
 	Cycles sim.Time

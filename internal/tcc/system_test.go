@@ -253,6 +253,26 @@ func TestTinyCacheOverflowStillCompletes(t *testing.T) {
 	}
 }
 
+// TestOverflowBypassCountsOnce forces exactly one bypass: two writes pin
+// both ways of a 2-way set, and a third write into the same set
+// overflows. The bypass is one access, so it must move each counter by
+// exactly 1: the system's overflow count, the L1's overflow count and the
+// L1's miss count (three misses, one per line).
+func TestOverflowBypassCountsOnce(t *testing.T) {
+	tr := handTrace("ov1", []workload.Transaction{tx(1, wr(0), wr(2), wr(4))})
+	cfg := config.Default(1)
+	cfg.Machine.L1SizeBytes = 2 * 2 * 64 // 2 sets x 2 ways: lines 0, 2, 4 share set 0
+	res := mustRun(t, cfg, tr)
+	cs := res.CachePerProc[0]
+	if res.Counters.Overflows != 1 || cs.Overflows != 1 || cs.Misses != 3 {
+		t.Fatalf("one bypass counted as system overflows %d, L1 overflows %d, L1 misses %d; want 1, 1, 3",
+			res.Counters.Overflows, cs.Overflows, cs.Misses)
+	}
+	if res.Counters.Commits != 1 {
+		t.Fatal("overflowing transaction did not commit")
+	}
+}
+
 func TestMaxCyclesGuard(t *testing.T) {
 	tr := handTrace("g", []workload.Transaction{tx(1, cp(1000), rd(1), wr(2))})
 	cfg := config.Default(1)

@@ -48,6 +48,7 @@ func TestRepriceGoldenOverDoneSet(t *testing.T) {
 	opts.Scale = e2eScale
 	opts.Workers = runtime.GOMAXPROCS(0)
 
+	// Run memo: each campaign runs on its own Session, so no run is shared between them.
 	// Two sessions: only the default-tech campaign journals its cells —
 	// attaching the checkpoint to the fresh-tech campaign too would append
 	// its records to the same journal and the reprice would see both.

@@ -18,6 +18,7 @@ import (
 // per-worker reused Systems (the default) and with reuse disabled — and
 // requires the two campaign CSVs to be byte-identical.
 func TestSystemReuseGoldenOverDoneSet(t *testing.T) {
+	// Run memo: each side runs on its own Session, so no run is shared between them.
 	runCSV := func(noReuse bool) ([]string, []Cell) {
 		opts := DefaultCampaignOptions()
 		opts.Scale = e2eScale

@@ -62,6 +62,7 @@ func TestTopologyDegenerateGoldenOverDoneSet(t *testing.T) {
 	opts.Scale = e2eScale
 	opts.Workers = runtime.GOMAXPROCS(0)
 
+	// Run memo: one Session, but the sides differ in config.Config (Machine.Topology), so no run is shared.
 	session := NewSession(opts)
 	defer session.Close()
 

@@ -23,6 +23,7 @@ import (
 // requires the three campaign CSVs to be byte-identical.
 func TestTraceStoreGoldenOverDoneSet(t *testing.T) {
 	dir := t.TempDir()
+	// Run memo: each of the three campaigns runs on its own Session, so no run is shared between them.
 	runCSV := func(traceDir, label string) ([]string, []Cell) {
 		opts := DefaultCampaignOptions()
 		opts.Scale = e2eScale
