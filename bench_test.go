@@ -313,13 +313,13 @@ func BenchmarkEngineHotPath(b *testing.B) {
 func BenchmarkEngineHotPathReuse(b *testing.B) {
 	rs := benchSpec(b, stamp.Intruder, 32, 0)
 	sc := &core.SystemCache{}
-	if _, err := core.RunPairCached(context.Background(), rs, sc); err != nil {
+	if _, err := core.RunPairCached(context.Background(), rs, sc, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunPairCached(context.Background(), rs, sc); err != nil {
+		if _, err := core.RunPairCached(context.Background(), rs, sc, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -110,13 +110,13 @@ func main() {
 		// steady state: one warm SystemCache carried across the whole
 		// stream, runs reset in place instead of rebuilt.
 		sc := &core.SystemCache{}
-		if _, err := core.RunPairCached(context.Background(), rs, sc); err != nil {
+		if _, err := core.RunPairCached(context.Background(), rs, sc, nil); err != nil {
 			fatal(err)
 		}
 		r = testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunPairCached(context.Background(), rs, sc); err != nil {
+				if _, err := core.RunPairCached(context.Background(), rs, sc, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

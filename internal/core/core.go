@@ -36,14 +36,14 @@ type RunSpec struct {
 	// Configure, if non-nil, edits the machine configuration before each
 	// run (applied to both the gated and ungated run).
 	Configure func(*config.Config)
-	// Memo, if non-nil, supplies each run of the pair from a lookup: it
-	// is called with the run's exact machine config and a function that
-	// simulates that run on the spec's trace, and returns the run's
-	// result — either simulated by run or shared from an earlier run of
-	// the same trace and config. The result is shared read-only (see
-	// tcc.Result). A nil Memo simulates both runs.
-	Memo func(ctx context.Context, cfg config.Config, run func() (*tcc.Result, error)) (*tcc.Result, error)
 }
+
+// Memo supplies one run of a pair from a lookup: it is called with the
+// run's exact machine config and a function that simulates that run on
+// the pair's trace, and returns the run's result — either simulated by
+// run or shared from an earlier run of the same trace and config. The
+// result is shared read-only (see tcc.Result).
+type Memo func(ctx context.Context, cfg config.Config, run func() (*tcc.Result, error)) (*tcc.Result, error)
 
 func (rs RunSpec) model() power.Model {
 	if rs.Model == (power.Model{}) {
@@ -153,17 +153,18 @@ func RunPair(rs RunSpec) (*Outcome, error) {
 // simulation, so a canceled campaign stops mid-run instead of finishing
 // the cell. A run that is not canceled is byte-identical to RunPair.
 func RunPairCtx(ctx context.Context, rs RunSpec) (*Outcome, error) {
-	return RunPairCached(ctx, rs, nil)
+	return RunPairCached(ctx, rs, nil, nil)
 }
 
 // RunPairCached is RunPairCtx with an optional per-worker System cache:
 // both runs of the pair (and every later pair of the same machine shape)
 // execute on one reused System instead of constructing a fresh machine
 // per run. A nil cache selects fresh construction — the exact RunPairCtx
-// behavior — and results are byte-identical either way. A spec with a
-// Memo takes each run from it instead; the comparison is still computed
-// per call, under the spec's own power model.
-func RunPairCached(ctx context.Context, rs RunSpec, sc *SystemCache) (*Outcome, error) {
+// behavior — and results are byte-identical either way. A non-nil memo
+// supplies each run instead (simulating on sc only when it must); the
+// comparison is still computed per call, under the spec's own power
+// model, and the memo is not kept in the Outcome.
+func RunPairCached(ctx context.Context, rs RunSpec, sc *SystemCache, memo Memo) (*Outcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -173,14 +174,14 @@ func RunPairCached(ctx context.Context, rs RunSpec, sc *SystemCache) (*Outcome, 
 	}
 	rs.Trace = tr // pin the trace so both runs share it exactly
 
-	ungated, err := runWith(ctx, rs, false, tr, sc)
+	ungated, err := runWith(ctx, rs, false, tr, sc, memo)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		return nil, fmt.Errorf("core: ungated run: %w", err)
 	}
-	gated, err := runWith(ctx, rs, true, tr, sc)
+	gated, err := runWith(ctx, rs, true, tr, sc, memo)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -195,14 +196,14 @@ func RunPairCached(ctx context.Context, rs RunSpec, sc *SystemCache) (*Outcome, 
 	}, nil
 }
 
-// runWith produces one run of the pair: through the spec's Memo when it
-// has one, by simulating directly otherwise.
-func runWith(ctx context.Context, rs RunSpec, gated bool, tr *workload.Trace, sc *SystemCache) (*tcc.Result, error) {
+// runWith produces one run of the pair: through memo when there is one,
+// by simulating directly otherwise.
+func runWith(ctx context.Context, rs RunSpec, gated bool, tr *workload.Trace, sc *SystemCache, memo Memo) (*tcc.Result, error) {
 	cfg := rs.config(gated)
-	if rs.Memo == nil {
+	if memo == nil {
 		return simulate(ctx, cfg, tr, sc)
 	}
-	return rs.Memo(ctx, cfg, func() (*tcc.Result, error) { return simulate(ctx, cfg, tr, sc) })
+	return memo(ctx, cfg, func() (*tcc.Result, error) { return simulate(ctx, cfg, tr, sc) })
 }
 
 // simulate executes one run of cfg on tr, on the cached System when its

@@ -106,7 +106,7 @@ func TestCellSpecConfiguresBanks(t *testing.T) {
 		{Cell{App: stamp.Genome, Processors: 4, Seed: 7, Banks: 8,
 			Variant: PolicyVariant(config.PolicyFixed)}, 8, config.PolicyFixed},
 	} {
-		rs, err := s.cellSpec(tc.cell)
+		rs, _, err := s.cellSpec(tc.cell)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -123,12 +123,12 @@ func TestFig7Runs(t *testing.T) {
 func TestScaleReducesWork(t *testing.T) {
 	o := quickOptions()
 	cell := Cell{App: stamp.Intruder, Processors: 2, Seed: o.Seed}
-	rsSmall, err := NewSession(o).cellSpec(cell)
+	rsSmall, _, err := NewSession(o).cellSpec(cell)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Scale = 0.5
-	rsBig, err := NewSession(o).cellSpec(cell)
+	rsBig, _, err := NewSession(o).cellSpec(cell)
 	if err != nil {
 		t.Fatal(err)
 	}

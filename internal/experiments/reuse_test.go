@@ -18,21 +18,26 @@ import (
 // Topology rides in Machine, so the struct-equality shape check catches a
 // bus→mesh→bus interleave with no extra plumbing; this test is what pins
 // that.
+//
+// Run memo: every cell has a distinct run key (the closing cell differs
+// from the first by seed), so no run is shared and both sessions simulate
+// all 22 runs on their System caches.
 func TestShapeInterleaveReuseByteIdentical(t *testing.T) {
 	shapes := []struct {
 		procs, banks int
 		topo         string
+		seed         uint64
 	}{
-		{8, 0, ""}, {32, 4, ""}, {8, 1, ""}, {8, 0, "mesh"}, {128, 4, ""},
-		{32, 1, ""}, {8, 0, "xbar"}, {8, 4, ""}, {128, 1, ""}, {32, 0, ""},
-		{8, 0, ""}, // back to the first shape: the cache must have survived the churn
+		{8, 0, "", 7}, {32, 4, "", 7}, {8, 1, "", 7}, {8, 0, "mesh", 7}, {128, 4, "", 7},
+		{32, 1, "", 7}, {8, 0, "xbar", 7}, {8, 4, "", 7}, {128, 1, "", 7}, {32, 0, "", 7},
+		{8, 0, "", 8}, // back to the first shape: the cache must have survived the churn
 	}
 	cells := make([]Cell, len(shapes))
 	for i, sh := range shapes {
 		cells[i] = Cell{
 			Index: i, ID: fmt.Sprintf("shape%d", i),
 			App: stamp.Intruder, Processors: sh.procs, Banks: sh.banks,
-			Topology: sh.topo, Seed: 7,
+			Topology: sh.topo, Seed: sh.seed,
 		}
 	}
 	runCSV := func(noReuse bool) string {
@@ -42,6 +47,9 @@ func TestShapeInterleaveReuseByteIdentical(t *testing.T) {
 		outs, err := s.RunCells(context.Background(), cells)
 		if err != nil {
 			t.Fatalf("noReuse=%v: %v", noReuse, err)
+		}
+		if got, want := s.Simulated(), uint64(2*len(cells)); got != want {
+			t.Fatalf("noReuse=%v: simulated %d runs, want %d (a run was shared)", noReuse, got, want)
 		}
 		camp := &Campaign{Options: o, Cells: cells, Outcomes: outs}
 		var buf strings.Builder

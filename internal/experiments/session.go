@@ -324,12 +324,12 @@ func (s *Session) runCell(ctx context.Context, pos int, c Cell, sc *core.SystemC
 			return res
 		}
 	}
-	rs, err := s.cellSpec(c)
+	rs, memo, err := s.cellSpec(c)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	out, err := core.RunPairCached(ctx, rs, sc)
+	out, err := core.RunPairCached(ctx, rs, sc, memo)
 	if err != nil {
 		res.Err = err
 		return res
@@ -346,17 +346,17 @@ func (s *Session) runCell(ctx context.Context, pos int, c Cell, sc *core.SystemC
 // cellSpec builds the core.RunSpec for one cell: the trace from the
 // session cache, the machine-config mutation from the cell's
 // interconnect shape and variant, and the power model from the cell's
-// technology point.
-func (s *Session) cellSpec(c Cell) (core.RunSpec, error) {
+// technology point — plus the run memo of the cell's trace.
+func (s *Session) cellSpec(c Cell) (core.RunSpec, core.Memo, error) {
 	rs := core.RunSpec{App: c.App, Processors: c.Processors, Seed: c.Seed, W0: c.W0}
 	tech, err := energy.Resolve(c.Tech)
 	if err != nil {
-		return core.RunSpec{}, err
+		return core.RunSpec{}, nil, err
 	}
 	rs.Model = tech.Model()
 	configure, err := variantConfigure(c.Variant)
 	if err != nil {
-		return core.RunSpec{}, err
+		return core.RunSpec{}, nil, err
 	}
 	if banks := c.Banks; banks > 0 {
 		variant := configure
@@ -379,16 +379,16 @@ func (s *Session) cellSpec(c Cell) (core.RunSpec, error) {
 	rs.Configure = configure
 	tr, e, err := s.trace(c)
 	if err != nil {
-		return core.RunSpec{}, err
+		return core.RunSpec{}, nil, err
 	}
 	rs.Trace = tr
-	rs.Memo = func(ctx context.Context, cfg config.Config, run func() (*tcc.Result, error)) (*tcc.Result, error) {
+	memo := func(ctx context.Context, cfg config.Config, run func() (*tcc.Result, error)) (*tcc.Result, error) {
 		return s.memoRun(ctx, e, cfg, run)
 	}
-	return rs, nil
+	return rs, memo, nil
 }
 
-// memoRun is the session's run memo, the core.RunSpec.Memo of every cell:
+// memoRun is the session's run memo, the core.Memo of every cell:
 // it returns the result of the run of e's trace under cfg, simulating it
 // with run only if no earlier run computed it. A nil e (the trace cache is
 // off) always simulates. Concurrent cells needing one run simulate it once

@@ -75,7 +75,7 @@ func TestCellSpecConfiguresTopology(t *testing.T) {
 		{Cell{App: stamp.Genome, Processors: 4, Seed: 7, Topology: "ring",
 			Variant: PolicyVariant(config.PolicyFixed)}, "ring", config.PolicyFixed},
 	} {
-		rs, err := s.cellSpec(tc.cell)
+		rs, _, err := s.cellSpec(tc.cell)
 		if err != nil {
 			t.Fatal(err)
 		}
