@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -26,12 +27,20 @@ type Config struct {
 	// LeaseBatch caps the cells granted per lease. Default 8; a
 	// worker's request may ask for fewer.
 	LeaseBatch int
-	// RetryDelay is the poll interval suggested to workers when no work
-	// is pending (all cells leased or done). Default 200ms.
+	// RetryDelay bounds how long a lease request that finds nothing to
+	// grant (all cells leased or done) is held open. A held request is
+	// answered as soon as a return settles cells, an expired lease is
+	// reclaimed, or the campaign completes or fails; after RetryDelay it
+	// is answered empty with a hint to ask again at once. An idle worker
+	// therefore sends at most one request per RetryDelay. Keep it below
+	// the workers' HTTP client timeout. Default 200ms.
 	RetryDelay time.Duration
-	// DrainGrace is how long the coordinator keeps answering "done"
-	// after the campaign completes, so polling workers observe the end
-	// instead of a vanished server. Default 1s.
+	// DrainGrace bounds how long the coordinator keeps answering after
+	// the campaign completes, so workers observe the end instead of a
+	// vanished server. The drain ends early once every worker session
+	// that joined has been answered Done; a client that sent work
+	// without a session id keeps it open for the full DrainGrace.
+	// Default 1s.
 	DrainGrace time.Duration
 	// SweepInterval is the period of the background expiry sweep Serve
 	// runs: deadline-passed leases are reclaimed on this cadence even
@@ -216,6 +225,17 @@ type Coordinator struct {
 	journalQ  []journalEntry
 	done      chan struct{}
 	failed    bool
+	// wake is closed and replaced by broadcastLocked; held lease
+	// requests and the drain wait on it outside mu.
+	wake chan struct{}
+	// sessions maps every worker session id seen to whether it has
+	// been answered Done (or Err); untold counts the false entries.
+	sessions map[uint64]bool
+	untold   int
+	// anonymous records a work request without a session id. Such a
+	// client cannot be told apart from others, so the drain keeps the
+	// full DrainGrace for it.
+	anonymous bool
 
 	// journalMu serializes journal flushes; held without c.mu so a slow
 	// disk blocks only other flushers, never the lease/return paths.
@@ -245,6 +265,8 @@ func NewCoordinator(opts experiments.Options, cells []experiments.Cell, cfg Conf
 		leases:      make(map[uint64]*lease),
 		workers:     make(map[string]*workerCounters),
 		done:        make(chan struct{}),
+		wake:        make(chan struct{}),
+		sessions:    make(map[uint64]bool),
 	}
 	if cfg.CheckpointPath != "" {
 		ck, err := experiments.OpenCheckpoint(cfg.CheckpointPath, c.fingerprint)
@@ -293,7 +315,19 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-func (c *Coordinator) handleCampaign(w http.ResponseWriter, _ *http.Request) {
+func (c *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
+	var session uint64
+	if q := r.URL.Query().Get("session"); q != "" {
+		id, err := strconv.ParseUint(q, 10, 64)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("bad session id %q", q), http.StatusBadRequest)
+			return
+		}
+		session = id
+	}
+	c.mu.Lock()
+	c.sessionLocked(session)
+	c.mu.Unlock()
 	writeJSON(w, CampaignInfo{
 		Protocol:    ProtocolVersion,
 		Fingerprint: c.fingerprint,
@@ -321,17 +355,54 @@ func (c *Coordinator) closeDoneLocked() {
 	case <-c.done:
 	default:
 		close(c.done)
+		c.broadcastLocked()
 	}
 }
 
+// broadcastLocked wakes every held lease request and the drain: it is
+// called on each change that can create work or end the campaign (a
+// return that settles cells, an expiry reclaim, completion or failure)
+// and when a session is answered Done. Called with mu held.
+func (c *Coordinator) broadcastLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
+// sessionLocked records a work request from worker session id, where 0
+// means the client sent none. Called with mu held.
+func (c *Coordinator) sessionLocked(id uint64) {
+	if id == 0 {
+		c.anonymous = true
+		return
+	}
+	if _, ok := c.sessions[id]; !ok {
+		c.sessions[id] = false
+		c.untold++
+	}
+}
+
+// toldLocked records that session id has been answered Done (or Err),
+// after which its worker exits. Called with mu held, after
+// sessionLocked for the same request.
+func (c *Coordinator) toldLocked(id uint64) {
+	if told, ok := c.sessions[id]; !ok || told {
+		return
+	}
+	c.sessions[id] = true
+	c.untold--
+	c.broadcastLocked()
+}
+
 // reclaimExpired returns every cell of every deadline-passed lease to
-// the pending pool. Called with mu held — lazily from the lease path,
+// the pending pool and reports whether any cell went back. Called with
+// mu held — lazily from the lease path,
 // and periodically from Serve's background sweep, so a fleet whose
 // workers all died still reclaims (and reports) the leases without
 // waiting for a live worker to ask for work. Cells whose ownership
 // moved to a newer lease (a renewal keeps ownership; a steal moves it)
 // are left alone: only the current owner's deadline matters.
-func (c *Coordinator) reclaimExpired(now time.Time) {
+func (c *Coordinator) reclaimExpired(now time.Time) bool {
+	reclaimed := false
 	for id, l := range c.leases {
 		if now.Before(l.deadline) {
 			continue
@@ -346,12 +417,14 @@ func (c *Coordinator) reclaimExpired(now time.Time) {
 		}
 		delete(c.leases, id)
 		if expired {
+			reclaimed = true
 			c.stats.Expired++
 			if wk := c.workers[l.worker]; wk != nil {
 				wk.expired++
 			}
 		}
 	}
+	return reclaimed
 }
 
 // stealLocked implements the straggler re-lease rule: with no pending
@@ -404,6 +477,12 @@ func (c *Coordinator) stealLocked(worker string, now time.Time, max int) ([]Leas
 	return granted, positions
 }
 
+// handleLease grants pending (or stealable) cells. A request that finds
+// nothing to grant while the campaign runs is held (a long poll) until
+// broadcastLocked signals a change, the client goes away, or RetryDelay
+// passes, and is evaluated again after each. One that is still empty
+// after RetryDelay is answered with a 1 ms RetryMS hint, so the worker
+// asks again at once.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -415,19 +494,49 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		max = c.cfg.leaseBatch()
 	}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	var hold *time.Timer
+	for timedOut := false; ; {
+		c.mu.Lock()
+		resp, answered := c.leaseLocked(req, max)
+		wake := c.wake
+		c.mu.Unlock()
+		if answered || timedOut {
+			writeJSON(w, resp)
+			return
+		}
+		if hold == nil {
+			hold = time.NewTimer(c.cfg.retryDelay())
+			defer hold.Stop()
+		}
+		select {
+		case <-wake:
+		case <-hold.C:
+			timedOut = true
+		case <-r.Context().Done():
+			return
+		}
+	}
+}
+
+// leaseLocked evaluates one lease request. It answers Done (with Err
+// for a failed campaign) or a grant; when everything is leased out or
+// done it returns answered=false and the empty response to send if the
+// request is not held any longer. Called with mu held.
+func (c *Coordinator) leaseLocked(req LeaseRequest, max int) (resp LeaseResponse, answered bool) {
+	now := time.Now()
+	c.sessionLocked(req.Session)
+	wk := c.workerLocked(req.Worker, now)
 	if c.failed {
-		writeJSON(w, LeaseResponse{Done: true, Err: c.firstErrLocked().Error()})
-		return
+		c.toldLocked(req.Session)
+		return LeaseResponse{Done: true, Err: c.firstErrLocked().Error()}, true
 	}
 	if c.remaining == 0 {
-		writeJSON(w, LeaseResponse{Done: true})
-		return
+		c.toldLocked(req.Session)
+		return LeaseResponse{Done: true}, true
 	}
-	now := time.Now()
-	c.reclaimExpired(now)
-	wk := c.workerLocked(req.Worker, now)
+	if c.reclaimExpired(now) {
+		c.broadcastLocked()
+	}
 
 	var granted []LeasedCell
 	var positions []int
@@ -447,11 +556,9 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		stolen = len(positions)
 	}
 	if len(granted) == 0 {
-		// Everything is leased out or done: poll again later (an
-		// expiry or a qualifying steal may free work before the
-		// campaign completes).
-		writeJSON(w, LeaseResponse{RetryMS: c.cfg.retryDelay().Milliseconds()})
-		return
+		// Everything is leased out or done: an expiry or a qualifying
+		// steal may still free work before the campaign completes.
+		return LeaseResponse{RetryMS: 1}, false
 	}
 	c.nextLease++
 	l := &lease{
@@ -472,11 +579,11 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		c.stats.Steals += stolen
 		wk.steals += stolen
 	}
-	writeJSON(w, LeaseResponse{
+	return LeaseResponse{
 		LeaseID:    l.id,
 		Cells:      granted,
 		DeadlineMS: c.cfg.leaseTTL().Milliseconds(),
-	})
+	}, true
 }
 
 // handleRenew extends a live lease's deadline by one TTL — the
@@ -494,15 +601,19 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	now := time.Now()
+	c.sessionLocked(req.Session)
+	wk := c.workerLocked(req.Worker, now)
 	if c.failed {
+		c.toldLocked(req.Session)
 		writeJSON(w, RenewResponse{Err: c.firstErrLocked().Error()})
 		return
 	}
 	if c.remaining == 0 {
+		c.toldLocked(req.Session)
 		writeJSON(w, RenewResponse{Done: true})
 		return
 	}
-	now := time.Now()
 	l, ok := c.leases[req.LeaseID]
 	if !ok {
 		writeJSON(w, RenewResponse{Expired: true})
@@ -510,7 +621,7 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	}
 	l.deadline = now.Add(c.cfg.leaseTTL())
 	c.stats.Renewals++
-	c.workerLocked(req.Worker, now).renewals++
+	wk.renewals++
 	writeJSON(w, RenewResponse{DeadlineMS: c.cfg.leaseTTL().Milliseconds()})
 }
 
@@ -543,8 +654,8 @@ func (c *Coordinator) handleReturn(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	now := time.Now()
-	wk := c.workerLocked(req.Worker, now)
+	c.sessionLocked(req.Session)
+	wk := c.workerLocked(req.Worker, time.Now())
 	var resp ReturnResponse
 	for _, res := range req.Results {
 		if c.phase[res.Pos] == cellDone {
@@ -593,6 +704,11 @@ func (c *Coordinator) handleReturn(w http.ResponseWriter, r *http.Request) {
 			delete(c.leases, req.LeaseID)
 		}
 	}
+	if resp.Accepted > 0 {
+		// Fewer cells remain: a held request may now steal one, or
+		// (below) learn that the campaign is over.
+		c.broadcastLocked()
+	}
 	c.mu.Unlock()
 
 	c.flushJournal()
@@ -606,6 +722,7 @@ func (c *Coordinator) handleReturn(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	if c.remaining == 0 || c.failed {
 		c.closeDoneLocked()
+		c.toldLocked(req.Session)
 		resp.Done = true
 	}
 	c.mu.Unlock()
@@ -694,7 +811,9 @@ func (c *Coordinator) background(stop <-chan struct{}) {
 			return
 		case now := <-sweep.C:
 			c.mu.Lock()
-			c.reclaimExpired(now)
+			if c.reclaimExpired(now) {
+				c.broadcastLocked()
+			}
 			c.mu.Unlock()
 		case <-progress:
 			c.cfg.OnProgress(c.Status())
@@ -706,10 +825,10 @@ func (c *Coordinator) background(stop <-chan struct{}) {
 // completes or ctx is canceled, then returns the merged campaign. While
 // serving, a background loop sweeps expired leases every
 // Config.SweepInterval and emits Config.OnProgress snapshots. After
-// completion the server keeps answering "done" for Config.DrainGrace so
-// polling workers observe the end instead of a vanished server. The
-// listener is closed on return; the checkpoint journal, if any, is
-// closed too.
+// completion the server drains (see drain) so workers observe the end
+// instead of a vanished server; a cancel during the drain only ends it
+// early, and Serve still returns the completed campaign. The listener
+// is closed on return; the checkpoint journal, if any, is closed too.
 func (c *Coordinator) Serve(ctx context.Context, ln net.Listener) (*experiments.Campaign, error) {
 	srv := &http.Server{Handler: c.Handler()}
 	errCh := make(chan error, 1)
@@ -735,11 +854,37 @@ func (c *Coordinator) Serve(ctx context.Context, ln net.Listener) (*experiments.
 		return nil, fmt.Errorf("dist: coordinator server: %w", err)
 	case <-c.done:
 	}
-	// Drain: let polling workers see Done before the server goes away.
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-time.After(c.cfg.drainGrace()):
-	}
+	c.drain(ctx)
+	// Let answers still being written, such as the Done that ended the
+	// drain, reach their workers before the connections close.
+	sctx, cancel := context.WithTimeout(context.Background(), c.cfg.drainGrace())
+	srv.Shutdown(sctx)
+	cancel()
 	return c.Campaign()
+}
+
+// drain keeps a finished campaign's server answering until every worker
+// session that joined has been answered Done, DrainGrace passes, or ctx
+// is canceled. Any work request without a session id (an older worker,
+// a raw client) keeps the drain open for the full DrainGrace, and so
+// does a session that joined and died.
+func (c *Coordinator) drain(ctx context.Context) {
+	grace := time.NewTimer(c.cfg.drainGrace())
+	defer grace.Stop()
+	for {
+		c.mu.Lock()
+		drained := !c.anonymous && c.untold == 0
+		wake := c.wake
+		c.mu.Unlock()
+		if drained {
+			return
+		}
+		select {
+		case <-wake:
+		case <-grace.C:
+			return
+		case <-ctx.Done():
+			return
+		}
+	}
 }

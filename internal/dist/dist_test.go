@@ -58,6 +58,28 @@ func campaignCSV(t *testing.T, campaign *experiments.Campaign) string {
 	return buf.String()
 }
 
+// runLease executes one lease's cells on the session pool and packages
+// the results for the wire, the way a raw test client standing in for a
+// worker returns them. Cell failures become per-cell errors.
+func runLease(ctx context.Context, session *experiments.Session, leased []LeasedCell) []CellReturn {
+	cells := make([]experiments.Cell, len(leased))
+	for i, lc := range leased {
+		cells[i] = lc.Cell
+	}
+	results := make([]CellReturn, 0, len(leased))
+	for res := range session.StreamChan(ctx, cells) {
+		ret := CellReturn{Pos: leased[res.Pos].Pos}
+		switch {
+		case res.Err != nil:
+			ret.Err = res.Err.Error()
+		default:
+			ret.Record = experiments.NewCellRecord(res.Cell, res.Outcome)
+		}
+		results = append(results, ret)
+	}
+	return results
+}
+
 // startCoordinator serves the coordinator on an ephemeral loopback port
 // and returns its address plus a channel carrying Serve's result.
 type serveResult struct {

@@ -30,6 +30,13 @@
 // its lease expired — or after its cell was stolen and re-run elsewhere
 // — changes nothing: cells are deterministic, and the merge keys on
 // canonical position, not on who computed it.
+//
+// The end of a campaign is event-driven. A lease request that finds
+// nothing to grant is held until work appears or the campaign ends
+// (bounded by Config.RetryDelay), and after completion Serve stops as
+// soon as every worker session that joined has been answered Done
+// (bounded by Config.DrainGrace). A worker session is one Work call,
+// named by a random id it sends on every request.
 package dist
 
 import "repro/internal/experiments"
@@ -38,7 +45,9 @@ import "repro/internal/experiments"
 // coordinator speaking a different version.
 const ProtocolVersion = 1
 
-// CampaignInfo is the GET /v1/campaign response: what campaign this
+// CampaignInfo is the GET /v1/campaign response. A worker joins with
+// GET /v1/campaign?session=<id>, where id is the decimal form of the
+// session id it then sends on every lease, renew and return.: what campaign this
 // coordinator runs, identified the same way the checkpoint sink
 // identifies it (the options fingerprint), plus the options themselves
 // so a worker can build an identical Session.
@@ -51,10 +60,14 @@ type CampaignInfo struct {
 
 // LeaseRequest asks for up to Max cells of work. Worker is a free-form
 // identity used for logs and lease accounting only — correctness never
-// depends on it.
+// depends on it. Session is the random non-zero id of one worker
+// session (one Work call); the coordinator ends its drain once every
+// session that joined has been answered Done. It is optional: a request
+// without one keeps the drain open for the full DrainGrace.
 type LeaseRequest struct {
-	Worker string `json:"worker"`
-	Max    int    `json:"max,omitempty"`
+	Worker  string `json:"worker"`
+	Session uint64 `json:"session,omitempty"`
+	Max     int    `json:"max,omitempty"`
 }
 
 // LeasedCell is one unit of leased work: the cell and its position in
@@ -69,6 +82,8 @@ type LeasedCell struct {
 // that every cell of the campaign is accounted for — the worker's signal
 // to exit. With no grant and no Done, RetryMS suggests when to poll
 // again (pending work may appear when another worker's lease expires).
+// The coordinator holds such a request for up to its RetryDelay before
+// answering it empty, so its hint is 1 ms: ask again at once.
 type LeaseResponse struct {
 	LeaseID    uint64       `json:"lease_id,omitempty"`
 	Cells      []LeasedCell `json:"cells,omitempty"`
@@ -86,6 +101,7 @@ type LeaseResponse struct {
 type RenewRequest struct {
 	LeaseID uint64 `json:"lease_id"`
 	Worker  string `json:"worker"`
+	Session uint64 `json:"session,omitempty"`
 }
 
 // RenewResponse answers a heartbeat. DeadlineMS carries the renewed TTL
@@ -117,6 +133,7 @@ type CellReturn struct {
 type ReturnRequest struct {
 	LeaseID uint64       `json:"lease_id"`
 	Worker  string       `json:"worker"`
+	Session uint64       `json:"session,omitempty"`
 	Results []CellReturn `json:"results"`
 }
 

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
@@ -153,14 +154,23 @@ func normalizeBase(addr string) string {
 // LeaseTTL are not reclaimed mid-compute. Only protocol errors — 4xx
 // rejections, protocol-version or fingerprint skew, a failed campaign —
 // end the worker.
+//
+// Each call is one worker session: it draws a random non-zero id and
+// sends it on every request, so the coordinator can end its drain as
+// soon as every session has been told the campaign is done, whatever
+// the workers are named.
 func Work(ctx context.Context, baseURL string, o WorkerOptions) (WorkerStats, error) {
 	var stats WorkerStats
 	base := normalizeBase(baseURL)
 	client := o.client()
+	sid := rand.Uint64()
+	for sid == 0 {
+		sid = rand.Uint64()
+	}
 
 	var info CampaignInfo
 	if err := retry(ctx, o, &stats, func() error {
-		return getJSON(ctx, client, base+"/v1/campaign", &info)
+		return getJSON(ctx, client, base+"/v1/campaign?session="+strconv.FormatUint(sid, 10), &info)
 	}); err != nil {
 		return stats, fmt.Errorf("dist: join %s: %w", base, err)
 	}
@@ -189,7 +199,7 @@ func Work(ctx context.Context, baseURL string, o WorkerOptions) (WorkerStats, er
 		}
 		var grant LeaseResponse
 		err := retry(ctx, o, &stats, func() error {
-			return postJSON(ctx, client, base+"/v1/lease", LeaseRequest{Worker: name, Max: o.maxBatch()}, &grant)
+			return postJSON(ctx, client, base+"/v1/lease", LeaseRequest{Worker: name, Session: sid, Max: o.maxBatch()}, &grant)
 		})
 		if err != nil {
 			return stats, fmt.Errorf("dist: lease: %w", err)
@@ -215,10 +225,10 @@ func Work(ctx context.Context, baseURL string, o WorkerOptions) (WorkerStats, er
 		stats.Leases++
 
 		// Heartbeat while the lease's cells compute: renewals keep a
-		// slow cell's lease alive; a campaign failure observed by the
+		// slow cell's lease alive; a campaign end observed by the
 		// heartbeat cancels the run so the worker stops wasting work.
 		runCtx, cancelRun := context.WithCancel(ctx)
-		hb := startHeartbeat(runCtx, client, base, name, grant, cancelRun)
+		hb := startHeartbeat(runCtx, client, base, RenewRequest{LeaseID: grant.LeaseID, Worker: name, Session: sid}, grant.DeadlineMS, cancelRun)
 
 		// Results stream back in batches of ReturnBatch cells (the whole
 		// lease when unset). Each batch is a partial return — the
@@ -237,14 +247,14 @@ func Work(ctx context.Context, baseURL string, o WorkerOptions) (WorkerStats, er
 		var cellErr string
 		var flushErr error
 		campaignDone := false
-		flush := func() {
+		flush := func(ctx context.Context) {
 			if len(pending) == 0 || flushErr != nil || campaignDone {
 				return
 			}
 			var ack ReturnResponse
 			flushErr = retry(ctx, o, &stats, func() error {
 				return postJSON(ctx, client, base+"/v1/return",
-					ReturnRequest{LeaseID: grant.LeaseID, Worker: name, Results: pending}, &ack)
+					ReturnRequest{LeaseID: grant.LeaseID, Worker: name, Session: sid, Results: pending}, &ack)
 			})
 			if flushErr == nil {
 				pending = pending[:0]
@@ -253,6 +263,9 @@ func Work(ctx context.Context, baseURL string, o WorkerOptions) (WorkerStats, er
 		}
 		ch := session.StreamChan(runCtx, cells)
 		for res := range ch {
+			if runCtx.Err() != nil {
+				continue // the run was canceled: drain the stream
+			}
 			ret := CellReturn{Pos: grant.Cells[res.Pos].Pos}
 			stats.Cells++
 			switch {
@@ -267,7 +280,7 @@ func Work(ctx context.Context, baseURL string, o WorkerOptions) (WorkerStats, er
 			}
 			pending = append(pending, ret)
 			if len(pending) >= batchSize {
-				flush()
+				flush(runCtx)
 				if flushErr != nil || campaignDone {
 					// Cancel the lease's remaining cells and drain the
 					// stream so no pool worker stays blocked on send.
@@ -287,8 +300,13 @@ func Work(ctx context.Context, baseURL string, o WorkerOptions) (WorkerStats, er
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
+		if hb.campaignDone {
+			// Every cell is accounted for elsewhere: what this lease
+			// still holds would only come back as duplicates.
+			return stats, nil
+		}
 		if flushErr == nil && !campaignDone {
-			flush()
+			flush(ctx)
 		}
 		if flushErr != nil {
 			return stats, fmt.Errorf("dist: return: %w", flushErr)
@@ -305,24 +323,27 @@ func Work(ctx context.Context, baseURL string, o WorkerOptions) (WorkerStats, er
 	}
 }
 
-// heartbeat is one lease's renewal loop. campaignErr and renewals are
-// written by the goroutine and must be read only after done closes.
+// heartbeat is one lease's renewal loop. campaignDone, campaignErr and
+// renewals are written by the goroutine and must be read only after done
+// closes.
 type heartbeat struct {
-	done        chan struct{}
-	renewals    int
-	campaignErr error
+	done         chan struct{}
+	renewals     int
+	campaignDone bool
+	campaignErr  error
 }
 
 // startHeartbeat renews the granted lease every third of its TTL until
 // ctx cancels or the coordinator reports the lease gone (Expired — the
 // results will still be returned and deduplicated) or the campaign over
-// (Done, or Err — in which case cancelRun stops the in-flight cells). A
+// (Done, or Err — in which case cancelRun stops the in-flight cells and
+// the worker exits: the coordinator counts this session as told). A
 // failed renewal request is not retried in place: the next tick is the
 // retry, and a lease missing a beat or two still has two-thirds of a
 // TTL of slack.
-func startHeartbeat(ctx context.Context, client *http.Client, base, worker string, grant LeaseResponse, cancelRun context.CancelFunc) *heartbeat {
+func startHeartbeat(ctx context.Context, client *http.Client, base string, renew RenewRequest, deadlineMS int64, cancelRun context.CancelFunc) *heartbeat {
 	hb := &heartbeat{done: make(chan struct{})}
-	ttl := time.Duration(grant.DeadlineMS) * time.Millisecond
+	ttl := time.Duration(deadlineMS) * time.Millisecond
 	if ttl <= 0 {
 		ttl = 2 * time.Minute
 	}
@@ -341,7 +362,7 @@ func startHeartbeat(ctx context.Context, client *http.Client, base, worker strin
 			case <-tick.C:
 			}
 			var ack RenewResponse
-			if err := postJSON(ctx, client, base+"/v1/renew", RenewRequest{LeaseID: grant.LeaseID, Worker: worker}, &ack); err != nil {
+			if err := postJSON(ctx, client, base+"/v1/renew", renew, &ack); err != nil {
 				var se *statusError
 				if errors.As(err, &se) && se.code < 500 {
 					// A coordinator that rejects /v1/renew outright
@@ -357,7 +378,11 @@ func startHeartbeat(ctx context.Context, client *http.Client, base, worker strin
 				hb.campaignErr = fmt.Errorf("dist: campaign failed: %s", ack.Err)
 				cancelRun()
 				return
-			case ack.Done || ack.Expired:
+			case ack.Done:
+				hb.campaignDone = true
+				cancelRun()
+				return
+			case ack.Expired:
 				return
 			default:
 				hb.renewals++
@@ -365,29 +390,6 @@ func startHeartbeat(ctx context.Context, client *http.Client, base, worker strin
 		}
 	}()
 	return hb
-}
-
-// runLease executes one lease's cells on the session pool and packages
-// the results for the wire. Cell failures become per-cell errors, not a
-// worker failure: the coordinator decides what a failed cell means for
-// the campaign.
-func runLease(ctx context.Context, session *experiments.Session, leased []LeasedCell) []CellReturn {
-	cells := make([]experiments.Cell, len(leased))
-	for i, lc := range leased {
-		cells[i] = lc.Cell
-	}
-	results := make([]CellReturn, 0, len(leased))
-	for res := range session.StreamChan(ctx, cells) {
-		ret := CellReturn{Pos: leased[res.Pos].Pos}
-		switch {
-		case res.Err != nil:
-			ret.Err = res.Err.Error()
-		default:
-			ret.Record = experiments.NewCellRecord(res.Cell, res.Outcome)
-		}
-		results = append(results, ret)
-	}
-	return results
 }
 
 // statusError is a non-200 coordinator response. The status code drives
