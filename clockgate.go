@@ -326,7 +326,10 @@ type Result struct {
 	cmp            power.Comparison
 }
 
-// RunResult re-exports the single-run result type.
+// RunResult re-exports the single-run result type. Its Ledger keeps the
+// per-processor state timeline only when the result comes from RunSingle
+// or RunSingleWithEvents; the results of Run and of a campaign keep
+// per-state residency totals, which answer every whole-run energy query.
 type RunResult = tcc.Result
 
 // SpeedUp returns N1/N2: above 1 means gating made the run faster.
@@ -374,7 +377,8 @@ func Run(e Experiment) (*Result, error) {
 
 // RunSingle executes one configuration only (gated selects the protocol).
 // Most callers want Run; RunSingle exists for studies that only need one
-// side, such as baseline characterization.
+// side, such as baseline characterization, and for studies of the state
+// timeline, which only a single run's ledger keeps.
 func RunSingle(e Experiment, gated bool) (*RunResult, error) {
 	if e.Processors <= 0 {
 		return nil, fmt.Errorf("clockgate: processors %d must be positive", e.Processors)

@@ -1,6 +1,9 @@
 // Command tccsim runs a single workload on the simulated Scalable-TCC
 // machine, with or without the clock-gating protocol, and prints the
-// execution, protocol and energy statistics of the run.
+// execution, protocol and energy statistics of the run. A single run
+// records each processor's state timeline, which -timeline draws and
+// -energy decomposes into the paper's intervals; a -pair comparison keeps
+// residency totals only, so those two flags need a single run.
 //
 // Usage:
 //
@@ -61,6 +64,9 @@ func main() {
 	}
 
 	if *pair {
+		if *timeline || *intervals {
+			fatal(fmt.Errorf("-timeline and -energy need a single run, not -pair"))
+		}
 		out, err := core.RunPair(rs)
 		if err != nil {
 			fatal(err)

@@ -89,7 +89,10 @@ func cancelHook(ctx context.Context) func() error {
 	return func() error { return context.Cause(ctx) }
 }
 
-// RunOne executes a single configuration (gated or not) of the spec.
+// RunOne executes a single configuration (gated or not) of the spec. A
+// single run is the one whose result carries the state timeline: its
+// Ledger answers Segments and windowed queries (power.Intervals,
+// report.Timeline). Paired runs keep per-state residency totals only.
 func RunOne(rs RunSpec, gated bool) (*tcc.Result, error) {
 	return RunOneRecorded(rs, gated, nil)
 }
@@ -122,6 +125,7 @@ func runOne(ctx context.Context, rs RunSpec, gated bool, rec *trace.Recorder) (*
 	if rec != nil {
 		sys.SetRecorder(rec)
 	}
+	sys.RecordTimeline()
 	sys.SetCancel(cancelHook(ctx))
 	return sys.Run()
 }
@@ -144,6 +148,8 @@ type SystemCache struct {
 
 // RunPair executes the spec twice on the identical trace — ungated
 // baseline and gated — and compares them with the paper's energy model.
+// Both results' ledgers keep residency totals only, no state timeline;
+// RunOne records the timeline of a single run.
 func RunPair(rs RunSpec) (*Outcome, error) {
 	return RunPairCtx(context.Background(), rs)
 }

@@ -2,11 +2,14 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/power"
+	"repro/internal/sim"
 	"repro/internal/stamp"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -147,5 +150,54 @@ func TestCustomPowerModel(t *testing.T) {
 func TestUnknownPresetFails(t *testing.T) {
 	if _, err := RunPair(RunSpec{App: stamp.App("nope"), Processors: 2, Seed: 1}); err == nil {
 		t.Fatal("unknown preset accepted")
+	}
+}
+
+// TestLedgerTotalsMatchTimeline pins the two ledger kinds to each other:
+// a single run records the state timeline, a paired run keeps per-state
+// totals only, and for the same spec the single run's totals equal both
+// its own per-processor segment sums and the paired run's totals — so the
+// §IV comparison priced from either is bit-identical.
+func TestLedgerTotalsMatchTimeline(t *testing.T) {
+	shapes := map[string]func(*config.Config){
+		"bus":     nil,
+		"banks=4": func(c *config.Config) { c.Machine.Banks = 4 },
+		"mesh":    func(c *config.Config) { c.Machine.Topology = "mesh" },
+	}
+	for name, shape := range shapes {
+		rs := RunSpec{Trace: quickTrace(t, 8), Processors: 8, Seed: 17, Configure: shape}
+		pair, err := RunPair(rs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var single [2]*stats.Ledger
+		for i, paired := range []*stats.Ledger{pair.Ungated.Ledger, pair.Gated.Ledger} {
+			res, err := RunOne(rs, i == 1)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			l := res.Ledger
+			single[i] = l
+			if !l.HasTimeline() || paired.HasTimeline() {
+				t.Fatalf("%s gated=%v: single run timeline %v, paired run timeline %v, want true, false",
+					name, i == 1, l.HasTimeline(), paired.HasTimeline())
+			}
+			sums := make([][stats.NumStates]sim.Time, l.Procs())
+			for p := range sums {
+				for _, seg := range l.Segments(p) {
+					sums[p][seg.State] += seg.To - seg.From
+				}
+			}
+			if got := l.ResidencyTotals(); !reflect.DeepEqual(got, sums) {
+				t.Errorf("%s gated=%v: totals %v, segment sums %v", name, i == 1, got, sums)
+			}
+			if got, want := l.ResidencyTotals(), paired.ResidencyTotals(); l.End() != paired.End() || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s gated=%v: single run [0,%d) totals %v, paired run [0,%d) totals %v",
+					name, i == 1, l.End(), got, paired.End(), want)
+			}
+		}
+		if got := power.Compare(rs.model(), single[0], single[1]); got != pair.Comparison {
+			t.Errorf("%s: comparison from single runs %+v, paired %+v", name, got, pair.Comparison)
+		}
 	}
 }

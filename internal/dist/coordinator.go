@@ -631,6 +631,17 @@ func (c *Coordinator) handleReturn(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad return request: %v", err), http.StatusBadRequest)
 		return
 	}
+	// A record is untrusted input: one whose residency could not have
+	// come from simulating its cell fails the whole return.
+	for _, res := range req.Results {
+		if res.Err != "" {
+			continue
+		}
+		if err := res.Record.Validate(); err != nil {
+			http.Error(w, fmt.Sprintf("result for position %d: %v", res.Pos, err), http.StatusBadRequest)
+			return
+		}
+	}
 
 	c.mu.Lock()
 	// Validate the whole batch before mutating any state: a bad record

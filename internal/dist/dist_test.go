@@ -9,16 +9,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/sim"
 	"repro/internal/stamp"
+	"repro/internal/stats"
 )
 
 // testOptions is a small two-app campaign (4 cells) at e2e scale.
@@ -406,5 +410,72 @@ func TestDistributedRejectsForeignRecord(t *testing.T) {
 	}
 	if cs := coord.Stats(); cs.Returned != 0 {
 		t.Errorf("foreign record was merged: %+v", cs)
+	}
+}
+
+// TestDistributedRejectsBadResidency pins the record check on returns: a
+// batch holding one record whose residency could not come from
+// simulating its cell (a missing row, a negative entry, a row not
+// summing to the run's cycles) is refused whole with 400 — nothing
+// merged — and the honest batch then merges.
+func TestDistributedRejectsBadResidency(t *testing.T) {
+	opts := testOptions()
+	coord, err := NewCoordinator(opts, opts.Cells(), Config{DrainGrace: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvAddr, _ := startCoordinator(t, coord)
+	ctx := context.Background()
+
+	var grant LeaseResponse
+	if err := postJSON(ctx, http.DefaultClient, "http://"+srvAddr+"/v1/lease",
+		LeaseRequest{Worker: "liar", Max: 2}, &grant); err != nil {
+		t.Fatal(err)
+	}
+	if len(grant.Cells) != 2 {
+		t.Fatalf("leased %d cells, want 2", len(grant.Cells))
+	}
+	session := experiments.NewSession(opts)
+	defer session.Close()
+	results := runLease(ctx, session, grant.Cells)
+
+	post := func(results []CellReturn) (int, string) {
+		t.Helper()
+		body, _ := json.Marshal(ReturnRequest{LeaseID: grant.LeaseID, Worker: "liar", Results: results})
+		resp, err := http.Post("http://"+srvAddr+"/v1/return", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	lies := map[string]func(rows [][stats.NumStates]sim.Time) [][stats.NumStates]sim.Time{
+		"missing row": func(rows [][stats.NumStates]sim.Time) [][stats.NumStates]sim.Time { return rows[1:] },
+		"negative entry": func(rows [][stats.NumStates]sim.Time) [][stats.NumStates]sim.Time {
+			rows[0][stats.StateRun] += 5
+			rows[0][stats.StateGated] = -5
+			return rows
+		},
+		"row off cycles": func(rows [][stats.NumStates]sim.Time) [][stats.NumStates]sim.Time {
+			rows[0][stats.StateRun]++
+			return rows
+		},
+	}
+	for name, lie := range lies {
+		bad := slices.Clone(results)
+		bad[1].Record.Gated.Residency = lie(slices.Clone(bad[1].Record.Gated.Residency))
+		if code, msg := post(bad); code != http.StatusBadRequest || !strings.Contains(msg, "bad cell record") {
+			t.Errorf("%s: return got %d %q, want 400 naming the bad record", name, code, msg)
+		}
+		if cs := coord.Stats(); cs.Returned != 0 {
+			t.Fatalf("%s: partial merge after rejected batch: %+v", name, cs)
+		}
+	}
+	if code, msg := post(results); code != http.StatusOK {
+		t.Fatalf("honest return got %d %q, want 200", code, msg)
+	}
+	if cs := coord.Stats(); cs.Returned != 2 {
+		t.Errorf("honest return merged %d cells, want 2 (%+v)", cs.Returned, cs)
 	}
 }

@@ -90,7 +90,9 @@ type Checkpoint struct {
 // campaign identified by fingerprint. Existing records are loaded for
 // replay; a file written by a campaign with a different fingerprint is
 // refused. A truncated final line — the signature of a killed process —
-// is tolerated and dropped; that cell simply re-runs.
+// is tolerated and dropped; that cell simply re-runs. A record that
+// parses but fails CellRecord.Validate refuses the file with
+// ErrBadRecord: it would otherwise be priced as if simulated.
 func OpenCheckpoint(path, fingerprint string) (*Checkpoint, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -155,11 +157,14 @@ func (ck *Checkpoint) load(fingerprint string) error {
 		return fmt.Errorf("experiments: checkpoint belongs to campaign %s, this campaign is %s (delete the file or fix the options)",
 			hdr.Campaign, fingerprint)
 	}
-	for _, line := range lines[1:] {
+	for i, line := range lines[1:] {
 		var rec CellRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			// A corrupt interior line; skip it and let the cell re-run.
 			continue
+		}
+		if err := rec.Validate(); err != nil {
+			return fmt.Errorf("experiments: checkpoint line %d: %w", i+2, err)
 		}
 		ck.done[cellKey(rec.Cell)] = rec
 	}

@@ -29,9 +29,11 @@ import (
 // is validated for version (the campaign fingerprint is deliberately
 // ignored — re-pricing reads any campaign's journal), corrupt interior
 // lines and a torn final line are skipped exactly as a checkpoint
-// resume would drop them, records are deduplicated by cell key (last
-// record wins, matching checkpoint replay), and the surviving records
-// are returned sorted by cell index — the campaign's canonical order.
+// resume would drop them, a line that parses but fails
+// CellRecord.Validate fails the read with ErrBadRecord, records are
+// deduplicated by cell key (last record wins, matching checkpoint
+// replay), and the surviving records are returned sorted by cell index —
+// the campaign's canonical order.
 func ReadJournal(r io.Reader) ([]CellRecord, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
@@ -50,11 +52,14 @@ func ReadJournal(r io.Reader) ([]CellRecord, error) {
 	}
 	byKey := make(map[string]int)
 	var recs []CellRecord
-	for sc.Scan() {
+	for line := 2; sc.Scan(); line++ {
 		var rec CellRecord
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			// A corrupt or torn line; skip it like checkpoint replay does.
 			continue
+		}
+		if err := rec.Validate(); err != nil {
+			return nil, fmt.Errorf("experiments: journal line %d: %w", line, err)
 		}
 		if i, ok := byKey[rec.Cell.Key()]; ok {
 			recs[i] = rec

@@ -36,7 +36,10 @@ type IntervalModel struct {
 }
 
 // Intervals decomposes a closed ledger into the paper's Xi/αi/βi interval
-// statistics over [0, l.End()).
+// statistics over [0, l.End()). It reads the state timeline, so the
+// ledger must keep one (a single run's, see core.RunOne): like
+// Ledger.Segments it panics on a totals-only ledger, such as a paired or
+// restored run's.
 func Intervals(l *stats.Ledger) IntervalModel {
 	p := l.Procs()
 	end := l.End()

@@ -115,7 +115,9 @@ func (m Model) WithSRPG(keep float64) Model {
 }
 
 // Energy integrates a closed residency ledger over [from, to) and returns
-// total energy in run-power-cycle units.
+// total energy in run-power-cycle units. Any ledger answers the whole run,
+// [0, End()); a narrower window needs one with a state timeline (see
+// stats.Ledger), as do the other windowed methods below.
 func (m Model) Energy(l *stats.Ledger, from, to sim.Time) float64 {
 	tot := l.TotalResidency(from, to)
 	e := 0.0

@@ -12,7 +12,8 @@ import (
 // row per processor, one column per time bucket, the dominant state of
 // each bucket drawn as a glyph. It makes gating behaviour visible at a
 // glance — bursts of '.' (gated) appearing after conflicts, miss stalls as
-// 'm', commits as 'C'.
+// 'm', commits as 'C'. Only a ledger with a state timeline (a single
+// run's, see core.RunOne) can be drawn.
 type Timeline struct {
 	Ledger *stats.Ledger
 	// Width is the number of time buckets (default 100).
@@ -34,6 +35,9 @@ func (tl Timeline) Render() string {
 	l := tl.Ledger
 	if l == nil || !l.Closed() {
 		return "(timeline: no closed ledger)\n"
+	}
+	if !l.HasTimeline() {
+		return "(timeline: ledger keeps residency totals only, no state timeline)\n"
 	}
 	width := tl.Width
 	if width <= 0 {

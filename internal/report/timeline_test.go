@@ -53,6 +53,11 @@ func TestTimelineDegenerateInputs(t *testing.T) {
 	if out := (Timeline{Ledger: l, From: 5, To: 5}).Render(); !strings.Contains(out, "empty window") {
 		t.Fatalf("empty window output %q", out)
 	}
+	totals := stats.NewTotalsLedger(1)
+	totals.Close(10)
+	if out := (Timeline{Ledger: totals}).Render(); !strings.Contains(out, "totals only") {
+		t.Fatalf("totals-only ledger output %q", out)
+	}
 }
 
 func TestTimelineDefaultWidth(t *testing.T) {

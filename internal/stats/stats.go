@@ -7,6 +7,7 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -51,56 +52,48 @@ type Segment struct {
 	From, To sim.Time
 }
 
-// Ledger records the full state timeline of every processor in a run.
+// Ledger records every processor's per-state residency over a run. Every
+// ledger keeps running per-processor totals — all the paper's whole-run
+// energy model (§IV, eqs. 6–7) reads. A timeline ledger (NewLedger) also
+// keeps each processor's segment timeline, which windowed queries, the
+// interval decomposition (eqs. 1–5) and the ASCII timeline need; a
+// totals ledger (NewTotalsLedger, RestoreLedger) answers only whole-run
+// queries, and Segments or a windowed Residency on it panic.
 type Ledger struct {
 	procs    int
 	current  []State
 	since    []sim.Time
-	segments [][]Segment
+	totals   [][NumStates]sim.Time
+	segments [][]Segment // nil on a totals ledger
 	closed   bool
 	endTime  sim.Time
 }
 
-// NewLedger creates a ledger for procs processors, all beginning in
-// StateRun at time 0.
+// NewLedger creates a timeline ledger for procs processors, all beginning
+// in StateRun at time 0.
 func NewLedger(procs int) *Ledger {
-	l := &Ledger{
-		procs:    procs,
-		current:  make([]State, procs),
-		since:    make([]sim.Time, procs),
-		segments: make([][]Segment, procs),
-	}
+	l := NewTotalsLedger(procs)
+	l.segments = make([][]Segment, procs)
 	return l
 }
 
-// NewLedgerHinted is NewLedger with per-processor segment-capacity hints,
-// typically the SegmentCounts of a previous run on the same cell shape:
-// pre-sizing the timelines moves the append-growth allocations off the
-// recording hot path. Hint entries beyond len(segCap) — or a nil segCap —
-// fall back to zero capacity. Hints affect only capacity, never contents.
-func NewLedgerHinted(procs int, segCap []int) *Ledger {
-	l := NewLedger(procs)
-	for p := 0; p < procs && p < len(segCap); p++ {
-		if segCap[p] > 0 {
-			l.segments[p] = make([]Segment, 0, segCap[p])
-		}
+// NewTotalsLedger creates a ledger for procs processors, all beginning in
+// StateRun at time 0, that keeps per-state residency totals only: its
+// memory is a few words per processor however long the run.
+func NewTotalsLedger(procs int) *Ledger {
+	return &Ledger{
+		procs:   procs,
+		current: make([]State, procs),
+		since:   make([]sim.Time, procs),
+		totals:  make([][NumStates]sim.Time, procs),
 	}
-	return l
-}
-
-// SegmentCounts returns the number of recorded segments per processor —
-// capacity hints for NewLedgerHinted when running another cell of similar
-// shape.
-func (l *Ledger) SegmentCounts() []int {
-	out := make([]int, l.procs)
-	for p := range out {
-		out[p] = len(l.segments[p])
-	}
-	return out
 }
 
 // Procs returns the processor count.
 func (l *Ledger) Procs() int { return l.procs }
+
+// HasTimeline reports whether the ledger keeps the segment timeline.
+func (l *Ledger) HasTimeline() bool { return l.segments != nil }
 
 // Transition moves processor p into state s at time now. Zero-length
 // segments are dropped. Transitioning a closed ledger panics.
@@ -114,11 +107,21 @@ func (l *Ledger) Transition(p int, s State, now sim.Time) {
 	if s == l.current[p] {
 		return
 	}
-	if now > l.since[p] {
-		l.segments[p] = append(l.segments[p], Segment{State: l.current[p], From: l.since[p], To: now})
-	}
+	l.flush(p, now)
 	l.current[p] = s
 	l.since[p] = now
+}
+
+// flush books processor p's open segment, [since, now), to its current
+// state.
+func (l *Ledger) flush(p int, now sim.Time) {
+	if now <= l.since[p] {
+		return
+	}
+	l.totals[p][l.current[p]] += now - l.since[p]
+	if l.segments != nil {
+		l.segments[p] = append(l.segments[p], Segment{State: l.current[p], From: l.since[p], To: now})
+	}
 }
 
 // CurrentState returns processor p's current state.
@@ -131,9 +134,7 @@ func (l *Ledger) Close(end sim.Time) {
 		return
 	}
 	for p := 0; p < l.procs; p++ {
-		if end > l.since[p] {
-			l.segments[p] = append(l.segments[p], Segment{State: l.current[p], From: l.since[p], To: end})
-		}
+		l.flush(p, end)
 	}
 	l.closed = true
 	l.endTime = end
@@ -145,20 +146,37 @@ func (l *Ledger) Closed() bool { return l.closed }
 // End returns the close time.
 func (l *Ledger) End() sim.Time { return l.endTime }
 
-// Segments returns processor p's timeline. Only valid after Close. The
-// returned slice must not be modified.
+// Segments returns processor p's timeline. Only valid after Close, and
+// only on a timeline ledger. The returned slice must not be modified.
 func (l *Ledger) Segments(p int) []Segment {
 	if !l.closed {
 		panic("stats: Segments before Close")
+	}
+	if l.segments == nil {
+		panic("stats: Segments on a ledger without a timeline (built by NewTotalsLedger or RestoreLedger)")
 	}
 	return l.segments[p]
 }
 
 // Residency returns, for each processor, the cycles spent in each state
-// within the window [from, to). Only valid after Close.
+// within the window [from, to). Only valid after Close. A window covering
+// the whole run (from <= 0 and to >= End()) is answered from the totals
+// on any ledger; a narrower window needs a timeline ledger.
 func (l *Ledger) Residency(from, to sim.Time) [][NumStates]sim.Time {
+	return slices.Clone(l.window(from, to))
+}
+
+// window is Residency without the copy: a whole-run window returns the
+// ledger's own totals, which the caller must not modify.
+func (l *Ledger) window(from, to sim.Time) [][NumStates]sim.Time {
 	if !l.closed {
 		panic("stats: Residency before Close")
+	}
+	if from <= 0 && to >= l.endTime {
+		return l.totals
+	}
+	if l.segments == nil {
+		panic(fmt.Sprintf("stats: windowed Residency [%d, %d) on a ledger without a timeline (only [0, %d) is answered)", from, to, l.endTime))
 	}
 	out := make([][NumStates]sim.Time, l.procs)
 	for p := 0; p < l.procs; p++ {
@@ -181,7 +199,7 @@ func (l *Ledger) Residency(from, to sim.Time) [][NumStates]sim.Time {
 // TotalResidency sums Residency over processors.
 func (l *Ledger) TotalResidency(from, to sim.Time) [NumStates]sim.Time {
 	var tot [NumStates]sim.Time
-	for _, r := range l.Residency(from, to) {
+	for _, r := range l.window(from, to) {
 		for s := 0; s < NumStates; s++ {
 			tot[s] += r[s]
 		}
@@ -196,25 +214,15 @@ func (l *Ledger) ResidencyTotals() [][NumStates]sim.Time {
 	return l.Residency(0, l.endTime)
 }
 
-// RestoreLedger rebuilds a closed ledger from per-processor residency
-// totals and the close time, for replaying persisted results. The
-// synthetic timeline lays each state's total out as one contiguous
-// segment per processor, so whole-run aggregates (Residency and
-// TotalResidency over [0, End()), and with them every energy figure) are
-// reproduced exactly; the original interleaving is not, so windowed
-// queries over a restored ledger are meaningless.
+// RestoreLedger rebuilds a closed totals ledger from per-processor
+// residency totals and the close time, for replaying persisted results.
+// Whole-run aggregates (Residency and TotalResidency over [0, End()), and
+// with them every energy figure) are reproduced exactly; the timeline is
+// not persisted, so Segments and windowed queries on a restored ledger
+// panic.
 func RestoreLedger(perProc [][NumStates]sim.Time, end sim.Time) *Ledger {
-	l := NewLedger(len(perProc))
-	for p, totals := range perProc {
-		at := sim.Time(0)
-		for s := 0; s < NumStates; s++ {
-			if totals[s] == 0 {
-				continue
-			}
-			l.segments[p] = append(l.segments[p], Segment{State: State(s), From: at, To: at + totals[s]})
-			at += totals[s]
-		}
-	}
+	l := NewTotalsLedger(len(perProc))
+	copy(l.totals, perProc)
 	l.closed = true
 	l.endTime = end
 	return l

@@ -1,6 +1,9 @@
 package stats
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -173,6 +176,102 @@ func TestQuickResidencyPartition(t *testing.T) {
 			sum += tot[s]
 		}
 		return sum == sim.Time(procs)*end
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mustPanic fails the test unless f panics with a message containing want.
+func mustPanic(t *testing.T, what, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Errorf("%s did not panic", what)
+			return
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Errorf("%s panicked with %q, want it to mention %q", what, msg, want)
+		}
+	}()
+	f()
+}
+
+// TestTotalsLedgerAnswersWholeRunOnly checks both ledgers without a
+// timeline — a totals ledger and a restored one — answer every whole-run
+// query and refuse Segments and windowed Residency instead of making a
+// layout up.
+func TestTotalsLedgerAnswersWholeRunOnly(t *testing.T) {
+	recorded := NewTotalsLedger(2)
+	recorded.Transition(0, StateMiss, 10)
+	recorded.Transition(0, StateRun, 30)
+	recorded.Transition(1, StateGated, 50)
+	recorded.Close(100)
+	want := [][NumStates]sim.Time{{80, 20, 0, 0}, {50, 0, 0, 50}}
+	restored := RestoreLedger(want, 100)
+
+	for name, l := range map[string]*Ledger{"totals": recorded, "restored": restored} {
+		if l.HasTimeline() {
+			t.Errorf("%s ledger claims a timeline", name)
+		}
+		if !l.Closed() || l.End() != 100 || l.Procs() != 2 {
+			t.Errorf("%s ledger: closed %v, end %d, procs %d", name, l.Closed(), l.End(), l.Procs())
+		}
+		if got := l.ResidencyTotals(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s ResidencyTotals %v, want %v", name, got, want)
+		}
+		if got := l.Residency(-5, 200); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s Residency over a covering window %v, want %v", name, got, want)
+		}
+		if got := l.TotalResidency(0, 100); got != [NumStates]sim.Time{130, 20, 0, 50} {
+			t.Errorf("%s TotalResidency %v", name, got)
+		}
+		mustPanic(t, name+" Segments", "without a timeline", func() { l.Segments(0) })
+		mustPanic(t, name+" windowed Residency", "without a timeline", func() { l.Residency(15, 25) })
+		mustPanic(t, name+" short TotalResidency", "without a timeline", func() { l.TotalResidency(0, 99) })
+	}
+
+	// The totals are copies: editing what a query returned, or the rows
+	// a ledger was restored from, leaves the ledger alone.
+	recorded.ResidencyTotals()[0][StateRun] = 0
+	want[1][StateRun] = 0
+	if got := recorded.ResidencyTotals()[0][StateRun]; got != 80 {
+		t.Errorf("returned totals alias the ledger: run %d after edit", got)
+	}
+	if got := restored.ResidencyTotals()[1][StateRun]; got != 50 {
+		t.Errorf("restored ledger aliases its input: run %d after edit", got)
+	}
+}
+
+// Property: a totals ledger and a timeline ledger fed the same
+// transitions agree on every whole-run residency, and the timeline's
+// segments sum to it.
+func TestQuickTotalsMatchTimeline(t *testing.T) {
+	f := func(seed uint64, nProcsRaw, nTransRaw uint8) bool {
+		procs := int(nProcsRaw%4) + 1
+		trans := int(nTransRaw % 50)
+		rng := sim.NewRNG(seed, 9)
+		timeline, totals := NewLedger(procs), NewTotalsLedger(procs)
+		now := sim.Time(0)
+		for i := 0; i < trans; i++ {
+			now += sim.Time(rng.Intn(20))
+			p, s := rng.Intn(procs), State(rng.Intn(int(NumStates)))
+			timeline.Transition(p, s, now)
+			totals.Transition(p, s, now)
+		}
+		end := now + sim.Time(rng.Intn(10)+1)
+		timeline.Close(end)
+		totals.Close(end)
+		sums := make([][NumStates]sim.Time, procs)
+		for p := range sums {
+			for _, seg := range timeline.Segments(p) {
+				sums[p][seg.State] += seg.To - seg.From
+			}
+		}
+		return reflect.DeepEqual(timeline.ResidencyTotals(), sums) &&
+			reflect.DeepEqual(totals.ResidencyTotals(), sums)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

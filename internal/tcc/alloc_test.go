@@ -1,6 +1,7 @@
 package tcc
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -13,19 +14,22 @@ import (
 // TxInfo round trips and wake-ups are all pooled ops with pre-bound
 // callbacks (missOp/tokenOp/announceOp/commitOp/wakeOp here; replyOp/
 // invOp/evalOp/txInfoOp in internal/directory), so simulating costs no
-// allocation per event. Two bounds pin the two construction modes:
+// allocation per event. Three bounds pin the two construction modes:
 //
-//   - Fresh: NewSystem per run. Measures ~8.0k allocations per pair —
+//   - Fresh: NewSystem per run. Measures ~7.8k allocations per pair —
 //     essentially all construction (engine, directories, caches,
 //     footprint tables). Before the pools this path measured ~95k.
 //   - Reused: one System Reset in place between runs, the session pool
-//     workers' steady state. Measures 45 allocations per pair: the
-//     ledger and its segments, the Result and its per-component stat
-//     slices, and the odd directory line-arena chunk. Neither the
-//     processors nor the L1s hold a map, so nothing grows per run.
+//     workers' steady state. Measures 18 allocations and ~3.8 KiB per
+//     pair: each run's totals-only residency ledger (a few words per
+//     processor) and its Result with the per-component stat slices.
+//     Neither the processors nor the L1s hold a map, so nothing grows
+//     per run. The byte bound is what catches a per-run timeline: the
+//     segment arrays a paired run used to record cost ~1.1 MB here in
+//     about as many allocations.
 //
 // Any return of per-event closure allocation costs thousands per run and
-// fails both bounds. BENCH_engine.json records the trajectory
+// fails every bound. BENCH_engine.json records the trajectory
 // (cell_32p_allocs, cell_32p_reuse_allocs) on every CI run.
 func TestHotPathAllocsBounded(t *testing.T) {
 	spec := stamp.MustSpec(stamp.Intruder)
@@ -75,8 +79,18 @@ func TestHotPathAllocsBounded(t *testing.T) {
 			}
 		}
 	}
-	const reuseBound = 60
+	const reuseBound = 30
 	if avg := testing.AllocsPerRun(5, reused); avg > reuseBound {
 		t.Errorf("reused paired 8p run allocates %.0f times, bound %d — is Reset rebuilding state a reused System should keep?", avg, reuseBound)
+	}
+	const pairs, reuseBytesBound = 10, 16 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < pairs; i++ {
+		reused()
+	}
+	runtime.ReadMemStats(&after)
+	if perPair := (after.TotalAlloc - before.TotalAlloc) / pairs; perPair > reuseBytesBound {
+		t.Errorf("reused paired 8p run allocates %d bytes, bound %d — is a paired run recording a state timeline?", perPair, reuseBytesBound)
 	}
 }

@@ -41,11 +41,6 @@ type System struct {
 	rec            *trace.Recorder
 	cancel         func() error
 
-	// segHints carries the previous run's per-processor ledger segment
-	// counts into the next Reset, pre-sizing the new ledger's timelines
-	// (capacity only — contents are unaffected).
-	segHints []int
-
 	// Reused grant-round scratch: candidate list and claimed-directory
 	// flags (with the claim list that un-sets them), cleared after every
 	// round.
@@ -66,6 +61,12 @@ type grantCand struct {
 // cancellation reaches a run in flight. A nil hook (the default) adds no
 // per-event overhead.
 func (s *System) SetCancel(f func() error) { s.cancel = f }
+
+// RecordTimeline makes the next Run record each processor's full state
+// timeline (stats.NewLedger) besides the residency totals every run
+// keeps, for the interval decomposition and the ASCII timeline. It must
+// be called before Run; Reset returns the System to totals only.
+func (s *System) RecordTimeline() { s.ledger = stats.NewLedger(len(s.procs)) }
 
 // NewSystem builds a machine from the configuration and wires the trace's
 // threads onto the processors. The trace must have exactly
@@ -90,7 +91,7 @@ func NewSystem(cfg config.Config, trace *workload.Trace) (*System, error) {
 		eng:    sim.NewEngine(),
 		geom:   geom,
 		vendor: tokens.NewVendor(),
-		ledger: stats.NewLedger(cfg.Machine.Processors),
+		ledger: stats.NewTotalsLedger(cfg.Machine.Processors),
 	}
 	s.traceName = trace.Name
 	s.bus = bus.NewInterconnect(s.eng, cfg.Machine.BusCycles, cfg.Machine.Banks,
@@ -134,8 +135,9 @@ var ErrShapeChange = errors.New("tcc: machine shape changed, System must be rebu
 // gating knobs (enabled, W0, policy, renewal) may differ from the
 // previous run — they are plain parameters — but any difference in
 // cfg.Machine fails with ErrShapeChange, since the component graph is
-// sized by the machine shape. Only the ledger is built fresh: it escapes
-// into the previous run's Result, which must stay valid after Reset.
+// sized by the machine shape. Only the ledger is built fresh, a totals
+// ledger (see RecordTimeline): it escapes into the previous run's Result,
+// which must stay valid after Reset.
 //
 // The correctness contract is byte-identity: a Run after Reset produces
 // bit-identical cycles, counters and CSV bytes to the same Run on a
@@ -164,7 +166,7 @@ func (s *System) Reset(cfg config.Config, trace *workload.Trace) error {
 		d.Reset(cfg.Gating, policy)
 	}
 	s.counters = stats.Counters{} // &s.counters held by the directories stays valid
-	s.ledger = stats.NewLedgerHinted(cfg.Machine.Processors, s.segHints)
+	s.ledger = stats.NewTotalsLedger(cfg.Machine.Processors)
 	for i, p := range s.procs {
 		p.reset(&trace.Threads[i])
 	}
@@ -341,7 +343,9 @@ func (f fixedWindow) Name() string             { return fmt.Sprintf("fixed(%d)",
 type Result struct {
 	// Cycles is the parallel-section execution time (N1 or N2).
 	Cycles sim.Time
-	// Ledger is the closed per-processor residency ledger.
+	// Ledger is the closed per-processor residency ledger. It keeps the
+	// state timeline only if RecordTimeline was called before Run;
+	// otherwise it answers whole-run residency queries only.
 	Ledger *stats.Ledger
 	// Counters aggregates system-wide protocol events.
 	Counters stats.Counters
@@ -387,7 +391,6 @@ func (s *System) Run() (*Result, error) {
 			s.done, len(s.procs))
 	}
 	s.ledger.Close(s.endTime)
-	s.segHints = s.ledger.SegmentCounts()
 	res := &Result{
 		Cycles:       s.endTime,
 		Ledger:       s.ledger,
