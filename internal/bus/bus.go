@@ -1,33 +1,24 @@
-// Package bus models the interconnect of the simulated machine. Five
+// Package bus models the interconnect of the simulated machine. Two
 // implementations of one Interconnect interface exist:
 //
-//   - Bus, the common split-transaction bus of the paper's Table II: a
-//     single shared resource with batched FIFO arbitration. A
-//     split-transaction bus separates the request from the reply, so the
-//     bus is held only for the cycles a message occupies the wires, not
-//     for the whole memory round-trip.
-//   - BankedBus (banked.go), an address-interleaved N-banked bus that
-//     opens the 64/128-processor scale axis: each bank is an independent
-//     split bus arbitrating its own FIFO, and same-cycle deliveries across
-//     banks are serviced in a deterministic round-robin.
+//   - Net, a set of split-transaction links plus a route onto them. One
+//     link is the paper's common bus (Table II); N links, picked by the
+//     message's bank, are the address-interleaved banked bus; a 2D mesh
+//     (XY routing) or a bidirectional ring (shorter arc) is one local
+//     port per tile plus one link per directed channel, crossed hop by
+//     hop (route.go). A split-transaction link is held only for the
+//     cycles a message occupies its wires, not for the memory round-trip.
 //   - Xbar (xbar.go), a full crossbar: one reservation ledger per
 //     src→dst port pair, so the only contention is two messages between
 //     the same pair of nodes.
-//   - Mesh and Ring (fabric.go), point-to-point fabrics built from Bus
-//     links: a 2D mesh with XY dimension-order routing, and a
-//     bidirectional ring routing the shorter arc. Messages occupy every
-//     link on their route for the occupancy, hop by hop.
 //
-// In both models senders do not schedule per-request events: they enqueue
-// on an arbitration queue, and one grant-round event — scheduled for the
-// cycle the (bank's) wires next free up — drains every queued requester in
-// arrival order, assigning each the next `occupancy`-cycle slot. Granted
-// messages then deliver through a single chained delivery event walking
-// the slot ends. The slot arithmetic is identical to a per-request
-// reservation model (each message occupies the earliest free slot at or
-// after its issue time), so latency grows under contention exactly the way
-// a real shared bus serializes traffic — but arbitration costs one event
-// per round, not per message, and the queues recycle their storage.
+// On a link, senders do not schedule per-request events: they enqueue
+// on the link's arbitration queue, and one grant-round event, scheduled
+// for the cycle the wires next free up, drains every queued requester in
+// arrival order, assigning each the next `occupancy`-cycle slot. That is
+// the slot arithmetic of a per-request reservation model (each message
+// occupies the earliest free slot at or after its issue time), at one
+// event per round instead of per message.
 package bus
 
 import (
@@ -47,34 +38,26 @@ const VendorNode = -1
 
 // Interconnect is the system's view of the interconnect. Send transmits a
 // message from node src to node dst on the given bank; deliver runs when
-// the message has crossed the wires. Bus-class implementations route by
-// bank and ignore src/dst; point-to-point fabrics route by src/dst and
-// ignore bank. All methods must be called from engine event context (the
+// the message has crossed the wires. The bus shapes route by bank and
+// ignore src/dst; point-to-point fabrics route by src/dst and ignore
+// bank. All methods must be called from engine event context (the
 // simulator is single-goroutine by design).
 type Interconnect interface {
 	// Send enqueues a message from src to dst; deliver runs when the
-	// message has crossed. Bus-class implementations use only bank (their
-	// arbitration queue index; banked implementations panic on a bank
-	// outside [0, Banks())); fabrics use only src and dst (node ids,
-	// taken modulo their tile count, or VendorNode).
+	// message has crossed. The bus shapes use only bank (their link
+	// index; a bank outside [0, Banks()) panics); fabrics use only src
+	// and dst (node ids, taken modulo their tile count, or VendorNode).
 	Send(src, dst, bank int, deliver func())
-	// Banks returns the number of independent banks (1 for the single bus).
+	// Banks returns the number of independent banks (1 for the single
+	// bus and the point-to-point fabrics).
 	Banks() int
-	// Occupancy returns the per-message hold time of one bank's wires.
-	Occupancy() sim.Time
-	// Stats returns the activity counters, aggregated over banks.
+	// Stats returns the activity counters, aggregated over resources.
 	Stats() Stats
 	// BankStats returns a copy of each independent resource's private
-	// counters — banks for the bus models, links for the fabrics, output
+	// counters — banks for the bus shapes, links for the fabrics, source
 	// ports for the crossbar. For the single bus this is one entry equal
 	// to Stats().
 	BankStats() []Stats
-	// Queued returns the number of messages awaiting arbitration or
-	// delivery across all banks.
-	Queued() int
-	// Utilization returns busy-cycles over elapsed wire-capacity cycles
-	// (elapsed time times bank count) at the current time.
-	Utilization() float64
 	// Reset returns the interconnect to its initial state — empty
 	// queues, free wires, zeroed counters — keeping allocated storage.
 	// The owning engine must be reset first (or alongside): pending
@@ -101,7 +84,8 @@ func BankOf(key uint64, banks int) int {
 	return int(key & uint64(banks-1))
 }
 
-// Stats counts bus activity.
+// Stats counts interconnect activity on one resource, or summed over
+// all of them.
 type Stats struct {
 	Messages   uint64
 	BusyCycles uint64
@@ -111,6 +95,13 @@ type Stats struct {
 	// Rounds counts batched grant rounds: one arbitration event may
 	// grant many queued messages. Messages/Rounds is the batching factor.
 	Rounds uint64
+}
+
+func (s *Stats) add(o Stats) {
+	s.Messages += o.Messages
+	s.BusyCycles += o.BusyCycles
+	s.WaitCycles += o.WaitCycles
+	s.Rounds += o.Rounds
 }
 
 // request is one queued send awaiting a grant round.
@@ -125,149 +116,261 @@ type delivery struct {
 	deliver func()
 }
 
-// Bus is a split-transaction bus. All methods must be called from engine
-// event context (the simulator is single-goroutine by design).
-type Bus struct {
-	eng       *sim.Engine
-	occupancy sim.Time // cycles one message holds the bus
-	nextFree  sim.Time // first cycle the bus is free
-	stats     Stats
-
-	reqs         fifo.Queue[request]  // awaiting arbitration
-	dels         fifo.Queue[delivery] // granted, awaiting delivery
-	roundPending bool
-	delPending   bool
-	roundFn      func() // pre-bound grant round (no per-schedule closure)
-	deliverFn    func() // pre-bound delivery chain step
-}
-
-// New builds a bus on the engine. occupancy is the per-message bus-hold
-// time in cycles and must be positive.
-func New(eng *sim.Engine, occupancy sim.Time) *Bus {
+// NewInterconnect selects the interconnect model for a machine of nodes
+// processors. occupancy is the per-message hold time of one link's (or
+// one crossbar pair's) wires and must be positive. An empty or "bus"
+// topology selects by banks: banks <= 0 is the paper's single
+// split-transaction bus, one link; banks >= 1 is the banked bus with
+// that many links (a positive power of two). Banks=1 builds the same one
+// link and pump as the single bus; the two differ only in the CSV's
+// banks column. The point-to-point topologies — "xbar", "mesh", "ring",
+// with optional explicit sizes (see ParseTopology) — ignore banks;
+// validation rejects the combination upstream. An unparseable topology
+// panics: config validation is the enforcement point and this is the
+// backstop.
+func NewInterconnect(eng *sim.Engine, occupancy sim.Time, banks, nodes int, topology string) Interconnect {
+	topo, err := ParseTopology(topology, nodes)
+	if err != nil {
+		panic(err.Error())
+	}
 	if occupancy <= 0 {
 		panic(fmt.Sprintf("bus: occupancy %d must be positive", occupancy))
 	}
-	b := &Bus{eng: eng, occupancy: occupancy}
-	b.roundFn = b.grantRound
-	b.deliverFn = b.deliverHead
-	return b
+	if topo.Kind == TopoXbar {
+		return newXbar(eng, occupancy, topo.Nodes)
+	}
+	return newNet(eng, occupancy, banks, topo)
 }
 
-// Reset implements Interconnect: empty queues, free wires, zero stats.
-// The ring buffers behind the request and delivery queues are retained,
-// so a reset bus arbitrates without re-growing them.
-func (b *Bus) Reset() {
-	b.nextFree = 0
-	b.stats = Stats{}
-	b.reqs.Clear()
-	b.dels.Clear()
-	b.roundPending = false
-	b.delPending = false
+// Net is a set of split-transaction links, a route onto them, and the
+// delivery pumps that complete their crossings. A pump is one in-flight
+// event serving the earliest due slot end across its group of links.
+// The banked bus's banks share one pump: one firing serves every
+// delivery due that cycle, visiting the banks round-robin from a start
+// bank that rotates by one per firing, so no bank keeps a same-cycle
+// priority and the order is a pure function of simulation history.
+// Every other link has its own pump, which is a chained delivery event
+// walking the link's strictly increasing slot ends. One bank on one
+// pump is the single bus, event for event.
+type Net struct {
+	eng       *sim.Engine
+	occupancy sim.Time
+	topo      Topology
+	links     []link
+	pumps     []pump
+	due       []delivery // pump scratch: crossings due this cycle
+	free      []*hopOp   // recycled multi-hop operations
 }
 
-// Occupancy returns the per-message hold time.
-func (b *Bus) Occupancy() sim.Time { return b.occupancy }
-
-// Banks implements Interconnect: the single bus is one bank.
-func (b *Bus) Banks() int { return 1 }
-
-// Stats returns a copy of the activity counters.
-func (b *Bus) Stats() Stats { return b.stats }
-
-// BankStats implements Interconnect: the single bus is one bank, so the
-// per-bank breakdown is the aggregate.
-func (b *Bus) BankStats() []Stats { return []Stats{b.stats} }
-
-// Queued returns the number of messages awaiting arbitration or delivery.
-func (b *Bus) Queued() int { return b.reqs.Len() + b.dels.Len() }
-
-// Send transmits a message: deliver runs when the message has crossed the
-// bus. The message joins the arbitration queue and is granted a slot by
-// the next grant round, in FIFO order. src, dst and bank are ignored:
-// every message shares the one set of wires.
-func (b *Bus) Send(_, _, _ int, deliver func()) {
-	b.send(deliver)
+// link is one set of wires: arbitration queue, slot ledger, delivery
+// queue and counters.
+type link struct {
+	nextFree     sim.Time
+	reqs         fifo.Queue[request]  // awaiting arbitration
+	dels         fifo.Queue[delivery] // granted, awaiting delivery
+	roundPending bool
+	roundFn      func() // pre-bound grant round (no per-schedule closure)
+	pump         *pump
+	stats        Stats
 }
 
-// send is the link-level entry point the fabrics use directly: enqueue
-// and arm a grant round at the cycle the wires next free up.
-func (b *Bus) send(deliver func()) {
+// pump is the delivery event of a power-of-two run of links.
+type pump struct {
+	links   []link
+	pending bool
+	at      sim.Time
+	ref     sim.EventRef
+	fn      func() // pre-bound firing
+	rr      int    // rotating start link for same-cycle service
+}
+
+// newNet builds the links and pumps of a parsed bus, mesh or ring.
+func newNet(eng *sim.Engine, occupancy sim.Time, banks int, topo Topology) *Net {
+	n := &Net{eng: eng, occupancy: occupancy, topo: topo}
+	links := 1
+	switch {
+	case topo.Kind == TopoMesh:
+		// Local ports, east/west channels per row, south/north per column.
+		links = topo.Nodes + 2*topo.Rows*(topo.Cols-1) + 2*topo.Cols*(topo.Rows-1)
+	case topo.Kind == TopoRing && topo.Nodes > 1:
+		// Local ports, then clockwise and counter-clockwise channels.
+		links = 3 * topo.Nodes
+	case topo.Kind == TopoBus && banks > 0:
+		if banks&(banks-1) != 0 {
+			panic(fmt.Sprintf("bus: banks %d must be a positive power of two", banks))
+		}
+		links = banks
+	}
+	group := 1 // links per pump: all of them on the bus shapes
+	if topo.Kind == TopoBus {
+		group = links
+	}
+	n.links = make([]link, links)
+	n.pumps = make([]pump, links/group)
+	for i := range n.pumps {
+		p := &n.pumps[i]
+		p.links = n.links[i*group : (i+1)*group]
+		p.fn = func() { n.firePump(p) }
+		for j := range p.links {
+			l := &p.links[j]
+			l.pump = p
+			l.roundFn = func() { n.grantRound(l) }
+		}
+	}
+	return n
+}
+
+// Reset implements Interconnect: every link's queues empty, wires free
+// and stats zeroed; every pump disarmed with its cursor rewound. Queue
+// storage, the pre-bound callbacks and the hop-operation free list are
+// kept; in-flight hop operations are abandoned with the engine's events.
+func (n *Net) Reset() {
+	for i := range n.links {
+		l := &n.links[i]
+		l.reqs.Clear()
+		l.dels.Clear()
+		*l = link{reqs: l.reqs, dels: l.dels, roundFn: l.roundFn, pump: l.pump}
+	}
+	for i := range n.pumps {
+		p := &n.pumps[i]
+		*p = pump{links: p.links, fn: p.fn}
+	}
+	n.due = n.due[:0]
+}
+
+// Banks implements Interconnect: the bus shapes have one bank per link;
+// the fabrics have no address interleave, so every interleave key maps
+// to bank 0 and the bank argument is inert.
+func (n *Net) Banks() int {
+	if n.topo.Kind == TopoBus {
+		return len(n.links)
+	}
+	return 1
+}
+
+// Stats returns the activity counters aggregated over links. On a
+// fabric Messages counts link crossings: a message on an h-hop route
+// counts h times, once per link it occupies.
+func (n *Net) Stats() Stats {
+	var s Stats
+	for i := range n.links {
+		s.add(n.links[i].stats)
+	}
+	return s
+}
+
+// BankStats returns a copy of each link's private counters: banks in
+// order on the bus shapes; on a fabric, local ports first (one per
+// tile), then the directional channels.
+func (n *Net) BankStats() []Stats {
+	out := make([]Stats, len(n.links))
+	for i := range n.links {
+		out[i] = n.links[i].stats
+	}
+	return out
+}
+
+// Send implements Interconnect. On the bus shapes the message joins
+// bank's arbitration queue and is granted a slot on that link's wires by
+// its next grant round, in FIFO order; src and dst are ignored. On a
+// fabric it crosses every link of its route (see route), then delivers;
+// the bank is ignored.
+func (n *Net) Send(src, dst, bank int, deliver func()) {
 	if deliver == nil {
 		panic("bus: nil deliver callback")
 	}
-	b.stats.Messages++
-	b.reqs.Push(request{deliver: deliver, issued: b.eng.Now()})
-	if !b.roundPending {
-		b.roundPending = true
-		at := b.eng.Now()
-		if b.nextFree > at {
-			at = b.nextFree
+	if n.topo.Kind == TopoBus {
+		if bank < 0 || bank >= len(n.links) {
+			panic(fmt.Sprintf("bus: bank %d out of range [0,%d)", bank, len(n.links)))
 		}
-		b.eng.Schedule(at, b.roundFn)
-	}
-}
-
-// grantRound is the batched arbitration: it fires when the bus frees up
-// and drains the whole request queue in arrival order, assigning each
-// message the next occupancy-cycle slot.
-func (b *Bus) grantRound() {
-	b.roundPending = false
-	b.stats.Rounds++
-	start := b.eng.Now()
-	if b.nextFree > start {
-		start = b.nextFree
-	}
-	for b.reqs.Len() > 0 {
-		r := b.reqs.Pop()
-		b.stats.WaitCycles += uint64(start - r.issued)
-		b.stats.BusyCycles += uint64(b.occupancy)
-		end := start + b.occupancy
-		b.dels.Push(delivery{at: end, deliver: r.deliver})
-		start = end
-	}
-	b.nextFree = start
-	b.scheduleDelivery()
-}
-
-// scheduleDelivery arms the delivery chain for the head message, if idle.
-// Slot ends are strictly increasing, so one in-flight event suffices.
-func (b *Bus) scheduleDelivery() {
-	if b.delPending || b.dels.Len() == 0 {
+		n.send(bank, deliver)
 		return
 	}
-	b.delPending = true
-	b.eng.Schedule(b.dels.Front().at, b.deliverFn)
+	n.sendRouted(src, dst, deliver)
 }
 
-// deliverHead completes the head message's bus crossing and re-arms the
-// chain for the next one. The chain is re-armed before the callback runs,
-// so a callback that sends new traffic observes a consistent queue.
-func (b *Bus) deliverHead() {
-	b.delPending = false
-	d := b.dels.Pop()
-	b.scheduleDelivery()
-	d.deliver()
-}
-
-// Utilization returns busy-cycles / elapsed-cycles at the current time,
-// clamped to [0, 1]. Returns 0 before any time has elapsed — a zero-cycle
-// run must not leak NaN into downstream ratio columns. The clamp covers
-// the mid-slot case: BusyCycles charges a granted slot in full at grant
-// time, so a reading taken while the last slot is still crossing can see
-// busy > elapsed.
-func (b *Bus) Utilization() float64 {
-	return clampUtil(float64(b.stats.BusyCycles), float64(b.eng.Now()))
-}
-
-// clampUtil is the shared utilization arithmetic: busy over capacity
-// clamped to [0, 1], with zero (not NaN/Inf) for zero elapsed capacity.
-func clampUtil(busy, capacity float64) float64 {
-	if capacity <= 0 {
-		return 0
+// send enqueues a message on one link and arms a grant round at the
+// cycle the link's wires next free up.
+func (n *Net) send(li int, deliver func()) {
+	l := &n.links[li]
+	l.stats.Messages++
+	l.reqs.Push(request{deliver: deliver, issued: n.eng.Now()})
+	if !l.roundPending {
+		l.roundPending = true
+		n.eng.Schedule(max(n.eng.Now(), l.nextFree), l.roundFn)
 	}
-	u := busy / capacity
-	if u > 1 {
-		return 1
+}
+
+// grantRound is one link's batched arbitration: it fires when the
+// link's wires free up and drains the whole request queue in arrival
+// order, assigning each message the next occupancy-cycle slot.
+func (n *Net) grantRound(l *link) {
+	l.roundPending = false
+	l.stats.Rounds++
+	start := max(n.eng.Now(), l.nextFree)
+	for l.reqs.Len() > 0 {
+		r := l.reqs.Pop()
+		l.stats.WaitCycles += uint64(start - r.issued)
+		l.stats.BusyCycles += uint64(n.occupancy)
+		end := start + n.occupancy
+		l.dels.Push(delivery{at: end, deliver: r.deliver})
+		start = end
 	}
-	return u
+	l.nextFree = start
+	n.schedulePump(l.pump)
+}
+
+// schedulePump (re-)arms a pump for the earliest due slot end across its
+// links. Within a link slot ends are strictly increasing, but a grant
+// round on an idle link of a shared pump can create a delivery earlier
+// than the pump's current target, so an armed pump is pulled forward
+// when needed. A one-link pump is never pulled forward.
+func (n *Net) schedulePump(p *pump) {
+	earliest := sim.MaxTime
+	for i := range p.links {
+		if l := &p.links[i]; l.dels.Len() > 0 && l.dels.Front().at < earliest {
+			earliest = l.dels.Front().at
+		}
+	}
+	if earliest == sim.MaxTime {
+		return
+	}
+	if p.pending {
+		if earliest >= p.at {
+			return
+		}
+		p.ref.Cancel()
+	}
+	p.pending = true
+	p.at = earliest
+	p.ref = n.eng.Schedule(earliest, p.fn)
+}
+
+// firePump completes every crossing due this cycle on the pump's links,
+// visiting them round-robin from a start link that rotates by one per
+// firing, then re-arms for the next due slot end. The pump re-arms
+// before any callback runs, so a callback that sends new traffic
+// observes consistent queues; new sends can never create a same-cycle
+// delivery, because a slot granted now ends at least one occupancy
+// later. Pumps fire only from engine events, so the shared due scratch
+// is never in use twice.
+func (n *Net) firePump(p *pump) {
+	p.pending = false
+	now := n.eng.Now()
+	due := n.due[:0]
+	k := len(p.links)
+	start := p.rr
+	p.rr = (p.rr + 1) & (k - 1)
+	for i := 0; i < k; i++ {
+		l := &p.links[(start+i)&(k-1)]
+		for l.dels.Len() > 0 && l.dels.Front().at == now {
+			due = append(due, l.dels.Pop())
+		}
+	}
+	n.schedulePump(p)
+	for i := range due {
+		due[i].deliver()
+		due[i].deliver = nil // release the closure for GC
+	}
+	n.due = due[:0]
 }

@@ -7,9 +7,40 @@ import (
 	"repro/internal/sim"
 )
 
+// newBus builds the paper's single split-transaction bus: one link.
+func newBus(eng *sim.Engine, occupancy sim.Time) *Net {
+	return NewInterconnect(eng, occupancy, 0, 1, "").(*Net)
+}
+
+// newBanked builds the address-interleaved bus: one link per bank, all
+// on one round-robin pump.
+func newBanked(eng *sim.Engine, occupancy sim.Time, banks int) *Net {
+	return NewInterconnect(eng, occupancy, banks, 1, "").(*Net)
+}
+
+// newFabric builds a mesh or ring from its parsed geometry.
+func newFabric(eng *sim.Engine, occupancy sim.Time, topo Topology) *Net {
+	return NewInterconnect(eng, occupancy, 0, topo.Nodes, topo.String()).(*Net)
+}
+
+// queued counts the messages a Net holds awaiting arbitration or
+// delivery, and the pumps still armed.
+func (n *Net) queued() int {
+	q := 0
+	for i := range n.links {
+		q += n.links[i].reqs.Len() + n.links[i].dels.Len()
+	}
+	for i := range n.pumps {
+		if n.pumps[i].pending {
+			q++
+		}
+	}
+	return q
+}
+
 func TestSingleMessageLatency(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 4)
+	b := newBus(eng, 4)
 	var delivered sim.Time = -1
 	b.Send(0, 0, 0, func() { delivered = eng.Now() })
 	eng.Run()
@@ -20,7 +51,7 @@ func TestSingleMessageLatency(t *testing.T) {
 
 func TestBackToBackMessagesSerialize(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 4)
+	b := newBus(eng, 4)
 	var times []sim.Time
 	for i := 0; i < 3; i++ {
 		b.Send(0, 0, 0, func() { times = append(times, eng.Now()) })
@@ -36,7 +67,7 @@ func TestBackToBackMessagesSerialize(t *testing.T) {
 
 func TestBusFreesUpOverTime(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 4)
+	b := newBus(eng, 4)
 	var second sim.Time
 	b.Send(0, 0, 0, func() {})
 	// Issue the second message long after the first finished: no queueing.
@@ -54,7 +85,7 @@ func TestBusFreesUpOverTime(t *testing.T) {
 
 func TestWaitCyclesAccumulateUnderContention(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 10)
+	b := newBus(eng, 10)
 	for i := 0; i < 4; i++ {
 		b.Send(0, 0, 0, func() {})
 	}
@@ -74,7 +105,7 @@ func TestWaitCyclesAccumulateUnderContention(t *testing.T) {
 
 func TestGrantRoundsBatchQueuedSenders(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 5)
+	b := newBus(eng, 5)
 	delivered := 0
 	// Eight messages issued in one cycle: one grant round must drain all
 	// of them (batched arbitration), with consecutive slots.
@@ -94,23 +125,9 @@ func TestGrantRoundsBatchQueuedSenders(t *testing.T) {
 	}
 }
 
-func TestQueuedCountsBothStages(t *testing.T) {
-	eng := sim.NewEngine()
-	b := New(eng, 4)
-	b.Send(0, 0, 0, func() {})
-	b.Send(0, 0, 0, func() {})
-	if got := b.Queued(); got != 2 {
-		t.Fatalf("queued %d before arbitration, want 2", got)
-	}
-	eng.Run()
-	if got := b.Queued(); got != 0 {
-		t.Fatalf("queued %d after drain, want 0", got)
-	}
-}
-
 func TestSteadyStateSendZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 2)
+	b := newBus(eng, 2)
 	deliver := func() {}
 	work := func() {
 		for i := 0; i < 32; i++ {
@@ -126,33 +143,18 @@ func TestSteadyStateSendZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	eng := sim.NewEngine()
-	b := New(eng, 4)
-	if b.Utilization() != 0 {
-		t.Fatal("utilization non-zero at t=0")
-	}
-	b.Send(0, 0, 0, func() {})
-	eng.Schedule(8, func() {})
-	eng.Run()
-	// 4 busy cycles over 8 elapsed.
-	if got := b.Utilization(); got != 0.5 {
-		t.Fatalf("utilization %f, want 0.5", got)
-	}
-}
-
 func TestZeroOccupancyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("New with occupancy 0 did not panic")
+			t.Error("NewInterconnect with occupancy 0 did not panic")
 		}
 	}()
-	New(sim.NewEngine(), 0)
+	NewInterconnect(sim.NewEngine(), 0, 0, 1, "")
 }
 
 func TestInterleavedSendsKeepFIFO(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 3)
+	b := newBus(eng, 3)
 	var order []int
 	// Sender A at t=0, sender B at t=1: A's message must deliver first.
 	b.Send(0, 0, 0, func() { order = append(order, 0) })
@@ -174,7 +176,7 @@ func BenchmarkBusBatched(b *testing.B) {
 		b.Run(fmt.Sprintf("senders%d", senders), func(b *testing.B) {
 			b.ReportAllocs()
 			eng := sim.NewEngine()
-			bus := New(eng, 2)
+			bus := newBus(eng, 2)
 			var deliver func()
 			left := 0
 			deliver = func() {

@@ -86,7 +86,7 @@ func TestMeshRouteXY(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFabric(sim.NewEngine(), 2, topo)
+	f := newFabric(sim.NewEngine(), 2, topo)
 	for s := 0; s < topo.Nodes; s++ {
 		for d := 0; d < topo.Nodes; d++ {
 			if s == d {
@@ -128,7 +128,7 @@ func TestRingRouteShorterArc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFabric(sim.NewEngine(), 2, topo)
+	f := newFabric(sim.NewEngine(), 2, topo)
 	for s := 0; s < 6; s++ {
 		for d := 0; d < 6; d++ {
 			if s == d {
@@ -173,7 +173,7 @@ func TestFabricHopTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
-	f := NewFabric(eng, 5, topo)
+	f := newFabric(eng, 5, topo)
 	var delivered sim.Time = -1
 	f.Send(0, 3, 0, func() { delivered = eng.Now() })
 	eng.Run()
@@ -196,7 +196,7 @@ func TestFabricSameRouteFIFO(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := sim.NewEngine()
-		f := NewFabric(eng, 3, topo)
+		f := newFabric(eng, 3, topo)
 		var order []int
 		for i := 0; i < 5; i++ {
 			i := i
@@ -222,7 +222,7 @@ func TestFabricVendorSideband(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
-	f := NewFabric(eng, 2, topo)
+	f := newFabric(eng, 2, topo)
 	var order []int
 	f.Send(7, VendorNode, 0, func() { order = append(order, 7) })
 	f.Send(VendorNode, 3, 0, func() { order = append(order, 3) })
@@ -245,8 +245,10 @@ func TestFabricVendorSideband(t *testing.T) {
 // TestSingleTileFabricMatchesSingleBus is the bus-level form of the
 // degenerate-topology golden: a 1x1 mesh and a 1-node ring have exactly
 // one link, and a randomized schedule of sends (local and vendor) must
-// deliver at exactly the cycles the single Bus delivers them, message for
-// message, with identical stats.
+// deliver at exactly the cycles the single bus delivers them, message for
+// message, with identical stats. Both are one Net link on one pump, so
+// this pins the degenerate route (every message, vendor traffic
+// included, onto local port 0), not two implementations.
 func TestSingleTileFabricMatchesSingleBus(t *testing.T) {
 	for _, spec := range []string{"mesh:1x1", "ring:1"} {
 		topo, err := ParseTopology(spec, 1)
@@ -256,8 +258,8 @@ func TestSingleTileFabricMatchesSingleBus(t *testing.T) {
 		for seed := int64(1); seed <= 5; seed++ {
 			single := sim.NewEngine()
 			fabric := sim.NewEngine()
-			var a Interconnect = New(single, 3)
-			var b Interconnect = NewFabric(fabric, 3, topo)
+			var a Interconnect = newBus(single, 3)
+			var b Interconnect = newFabric(fabric, 3, topo)
 			var got, want []string
 			schedule := func(eng *sim.Engine, ic Interconnect, out *[]string) {
 				rng := rand.New(rand.NewSource(seed))
@@ -300,7 +302,7 @@ func TestSingleTileFabricMatchesSingleBus(t *testing.T) {
 // other pair — even sharing a port — cross in parallel.
 func TestXbarPairContention(t *testing.T) {
 	eng := sim.NewEngine()
-	x := NewXbar(eng, 4, 4)
+	x := newXbar(eng, 4, 4)
 	times := map[string]sim.Time{}
 	x.Send(0, 1, 0, func() { times["a"] = eng.Now() })
 	x.Send(0, 1, 0, func() { times["b"] = eng.Now() }) // same pair: queues
@@ -327,7 +329,7 @@ func TestXbarPairContention(t *testing.T) {
 // vendor traffic reserves the (0,0) pair, one FIFO, any source port.
 func TestXbarVendorSerializes(t *testing.T) {
 	eng := sim.NewEngine()
-	x := NewXbar(eng, 4, 4)
+	x := newXbar(eng, 4, 4)
 	var order []int
 	x.Send(3, VendorNode, 0, func() { order = append(order, 3) })
 	x.Send(VendorNode, 2, 0, func() { order = append(order, 2) })
@@ -351,8 +353,8 @@ func TestFabricXbarReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, build := range map[string]func(*sim.Engine) Interconnect{
-		"mesh": func(e *sim.Engine) Interconnect { return NewFabric(e, 3, topo) },
-		"xbar": func(e *sim.Engine) Interconnect { return NewXbar(e, 3, 4) },
+		"mesh": func(e *sim.Engine) Interconnect { return newFabric(e, 3, topo) },
+		"xbar": func(e *sim.Engine) Interconnect { return newXbar(e, 3, 4) },
 	} {
 		eng := sim.NewEngine()
 		ic := build(eng)
@@ -366,8 +368,15 @@ func TestFabricXbarReset(t *testing.T) {
 		last1, st1 := run()
 		eng.Reset()
 		ic.Reset()
-		if ic.Queued() != 0 {
-			t.Fatalf("%s: queued %d after reset", name, ic.Queued())
+		if n, ok := ic.(*Net); ok && n.queued() != 0 {
+			t.Fatalf("%s: %d messages or pumps pending after reset", name, n.queued())
+		}
+		if x, ok := ic.(*Xbar); ok {
+			for pair, at := range x.nextFree {
+				if at != 0 {
+					t.Fatalf("%s: pair %d reserved until %d after reset", name, pair, at)
+				}
+			}
 		}
 		if st := ic.Stats(); st != (Stats{}) {
 			t.Fatalf("%s: stats %+v after reset, want zero", name, st)
@@ -393,7 +402,7 @@ func FuzzMeshRoute(f *testing.F) {
 		n := rows * cols
 		src := int(srcRaw) % n
 		dst := int(dstRaw) % n
-		fb := NewFabric(sim.NewEngine(), 1, Topology{Kind: TopoMesh, Nodes: n, Rows: rows, Cols: cols})
+		fb := newFabric(sim.NewEngine(), 1, Topology{Kind: TopoMesh, Nodes: n, Rows: rows, Cols: cols})
 		if src == dst {
 			return
 		}
@@ -429,6 +438,44 @@ func FuzzMeshRoute(f *testing.F) {
 			t.Fatalf("mesh %dx%d route %d->%d ends at %d", rows, cols, src, dst, at)
 		}
 	})
+}
+
+// linkEnds decodes a fabric link index back to its (from, to) tiles; a
+// local port decodes to (tile, tile). It inverts the link numbering from
+// the geometry alone, without the router's index helpers, so the route
+// tests check routes against real adjacencies independently.
+func (n *Net) linkEnds(idx int) (from, to int) {
+	t := n.topo.Nodes
+	if idx < t {
+		return idx, idx
+	}
+	if n.topo.Kind == TopoRing {
+		if idx < 2*t {
+			i := idx - t
+			return i, (i + 1) % t
+		}
+		i := idx - 2*t
+		return i, (i - 1 + t) % t
+	}
+	rows, cols := n.topo.Rows, n.topo.Cols
+	idx -= t
+	if idx < rows*(cols-1) { // east
+		r, c := idx/(cols-1), idx%(cols-1)
+		return r*cols + c, r*cols + c + 1
+	}
+	idx -= rows * (cols - 1)
+	if idx < rows*(cols-1) { // west
+		r, c := idx/(cols-1), idx%(cols-1)
+		return r*cols + c + 1, r*cols + c
+	}
+	idx -= rows * (cols - 1)
+	if idx < cols*(rows-1) { // south
+		c, r := idx/(rows-1), idx%(rows-1)
+		return r*cols + c, (r+1)*cols + c
+	}
+	idx -= cols * (rows - 1)
+	c, r := idx/(rows-1), idx%(rows-1) // north
+	return (r+1)*cols + c, r*cols + c
 }
 
 func abs(x int) int {

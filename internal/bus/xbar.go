@@ -1,10 +1,6 @@
 package bus
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Xbar is a full crossbar: every src->dst port pair has its own wires, so
 // the only contention is between messages on the same pair. Timing per
@@ -17,6 +13,13 @@ import (
 // arbitration each send reserves directly, and Rounds counts one round
 // per message.
 //
+// The crossbar is not a Net of per-pair links on purpose: a Net link
+// grants in batched rounds, books stats on the link, and delivers
+// through a pump, while the crossbar reserves at send time, books stats
+// per source port and counts a round per message. All three show in the
+// CSV (bus_rounds and the bank_* columns), so the crossbar keeps its own
+// slot ledger.
+//
 // Node ids fold onto ports modulo the port count. The token vendor
 // (VendorNode) sits beside port 0: all vendor traffic — requests and
 // replies — reserves the (0,0) pair, keeping token round trips in one
@@ -27,8 +30,7 @@ type Xbar struct {
 	nodes     int
 	nextFree  []sim.Time // nodes*nodes pair reservation ledgers
 	ports     []Stats    // per source port, indexed by folded src
-	queued    int
-	free      []*xbarOp // recycled delivery operations
+	free      []*xbarOp  // recycled delivery operations
 }
 
 // xbarOp is one in-flight crossbar message awaiting its slot end.
@@ -38,15 +40,9 @@ type xbarOp struct {
 	fn      func() // pre-bound completion (no per-send closure)
 }
 
-// NewXbar builds an n-port full crossbar on the engine. occupancy is the
+// newXbar builds an n-port full crossbar on the engine. occupancy is the
 // per-message hold time of one pair's wires.
-func NewXbar(eng *sim.Engine, occupancy sim.Time, nodes int) *Xbar {
-	if occupancy <= 0 {
-		panic(fmt.Sprintf("bus: occupancy %d must be positive", occupancy))
-	}
-	if nodes < 1 {
-		panic(fmt.Sprintf("bus: crossbar ports %d must be positive", nodes))
-	}
+func newXbar(eng *sim.Engine, occupancy sim.Time, nodes int) *Xbar {
 	return &Xbar{
 		eng:       eng,
 		occupancy: occupancy,
@@ -63,18 +59,13 @@ func (x *Xbar) Send(src, dst, _ int, deliver func()) {
 	if deliver == nil {
 		panic("bus: nil deliver callback")
 	}
-	var s, d int
-	if src == VendorNode || dst == VendorNode {
-		s, d = 0, 0
-	} else {
-		s, d = x.node(src), x.node(dst)
+	s, d := 0, 0
+	if src != VendorNode && dst != VendorNode {
+		s, d = fold(src, x.nodes), fold(dst, x.nodes)
 	}
 	pair := s*x.nodes + d
 	now := x.eng.Now()
-	slot := now
-	if x.nextFree[pair] > slot {
-		slot = x.nextFree[pair]
-	}
+	slot := max(now, x.nextFree[pair])
 	x.nextFree[pair] = slot + x.occupancy
 	ps := &x.ports[s]
 	ps.Messages++
@@ -83,13 +74,11 @@ func (x *Xbar) Send(src, dst, _ int, deliver func()) {
 	ps.BusyCycles += uint64(x.occupancy)
 	op := x.getOp()
 	op.deliver = deliver
-	x.queued++
 	x.eng.Schedule(slot+x.occupancy, op.fn)
 }
 
 // complete finishes one crossing: recycle the operation, then deliver.
 func (op *xbarOp) complete() {
-	op.x.queued--
 	d := op.deliver
 	op.deliver = nil
 	op.x.free = append(op.x.free, op)
@@ -107,33 +96,15 @@ func (x *Xbar) getOp() *xbarOp {
 	return op
 }
 
-// node folds an endpoint id onto a port.
-func (x *Xbar) node(id int) int {
-	if id < 0 {
-		panic(fmt.Sprintf("bus: crossbar node %d (only VendorNode may be negative)", id))
-	}
-	return id % x.nodes
-}
-
 // Banks implements Interconnect: the crossbar has no address interleave,
 // so every interleave key maps to bank 0 and the bank argument is inert.
 func (x *Xbar) Banks() int { return 1 }
 
-// Occupancy returns the per-message hold time of one pair's wires.
-func (x *Xbar) Occupancy() sim.Time { return x.occupancy }
-
-// Ports returns the port count.
-func (x *Xbar) Ports() int { return x.nodes }
-
 // Stats returns the activity counters aggregated over source ports.
 func (x *Xbar) Stats() Stats {
 	var s Stats
-	for i := range x.ports {
-		p := &x.ports[i]
-		s.Messages += p.Messages
-		s.BusyCycles += p.BusyCycles
-		s.WaitCycles += p.WaitCycles
-		s.Rounds += p.Rounds
+	for _, p := range x.ports {
+		s.add(p)
 	}
 	return s
 }
@@ -145,27 +116,10 @@ func (x *Xbar) BankStats() []Stats {
 	return out
 }
 
-// Queued returns the number of messages in flight (reserved, awaiting
-// their slot end).
-func (x *Xbar) Queued() int { return x.queued }
-
-// Utilization returns busy-cycles over elapsed port-capacity cycles
-// (elapsed time times port count — each port can inject one message per
-// occupancy), clamped to [0, 1].
-func (x *Xbar) Utilization() float64 {
-	return clampUtil(float64(x.Stats().BusyCycles),
-		float64(x.eng.Now())*float64(x.nodes))
-}
-
 // Reset implements Interconnect: all pair ledgers free, counters zeroed,
 // storage retained. In-flight operations are abandoned with the engine's
 // events.
 func (x *Xbar) Reset() {
-	for i := range x.nextFree {
-		x.nextFree[i] = 0
-	}
-	for i := range x.ports {
-		x.ports[i] = Stats{}
-	}
-	x.queued = 0
+	clear(x.nextFree)
+	clear(x.ports)
 }

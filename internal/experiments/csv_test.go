@@ -6,6 +6,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/bus"
+	"repro/internal/core"
+	"repro/internal/power"
+	"repro/internal/stamp"
+	"repro/internal/stats"
+	"repro/internal/tcc"
 )
 
 func TestWriteCSV(t *testing.T) {
@@ -31,6 +38,49 @@ func TestWriteCSV(t *testing.T) {
 		if len(rec) != len(records[0]) {
 			t.Fatalf("ragged row %v", rec)
 		}
+	}
+}
+
+// TestCSVUtilizationZeroCyclesNA pins the interconnect utilization
+// columns on a zero-cycle run: busy cycles over zero elapsed capacity is
+// missing data, so bus_util and every bank_util entry must render "NA",
+// never NaN or Inf, whether the bank carried traffic (busy/0) or not
+// (0/0).
+func TestCSVUtilizationZeroCyclesNA(t *testing.T) {
+	zero := func() *tcc.Result {
+		l := stats.NewLedger(1)
+		l.Close(0)
+		return &tcc.Result{
+			Ledger:    l,
+			BusStats:  bus.Stats{Messages: 2, BusyCycles: 8, Rounds: 1},
+			BankStats: []bus.Stats{{Messages: 2, BusyCycles: 8, Rounds: 1}, {}, {}, {}},
+		}
+	}
+	c := &Campaign{
+		Cells: []Cell{{App: stamp.Intruder, Processors: 1, Banks: 4}},
+		Outcomes: []*core.Outcome{{
+			Ungated:    zero(),
+			Gated:      zero(),
+			Comparison: power.Compare(power.Default(), zero().Ledger, zero().Ledger),
+		}},
+	}
+	var b strings.Builder
+	if err := c.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	records, err := csv.NewReader(strings.NewReader(b.String())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := map[string]string{}
+	for i, name := range records[0] {
+		col[name] = records[1][i]
+	}
+	if got := col["bus_util"]; got != "NA" {
+		t.Errorf("bus_util %q on a zero-cycle run, want NA", got)
+	}
+	if got := col["bank_util"]; got != "NA;NA;NA;NA" {
+		t.Errorf("bank_util %q on a zero-cycle run, want NA;NA;NA;NA", got)
 	}
 }
 
