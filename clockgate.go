@@ -155,10 +155,13 @@
 // selects the shape (0 = single bus, a power of two = that many banks),
 // DefaultBankedConfig64/128 are the wide presets, CampaignOptions.Banks
 // and Cell.Banks thread it through campaigns, and `cmd/experiments
-// -banks N` through the CLI. Banks=1 is cycle-identical to the single
-// bus — a differential golden over the whole E2E done-set pins that —
-// and docs/ENGINE.md specifies the interleave function and cross-bank
-// dispatch order.
+// -banks N` through the CLI. Every shape except the crossbar runs on one
+// link model: a link is one arbitration FIFO with its own slot ledger,
+// grant rounds and counters; the bus is one link, the banked bus one
+// link per bank. Banks=1 is therefore cycle-identical to the single bus,
+// and a differential golden over the whole E2E done-set checks the
+// mapping. docs/ENGINE.md specifies the links, the interleave function
+// and cross-bank dispatch order.
 //
 // Beyond the bus models, Config.Machine.Topology selects a point-to-point
 // fabric: "xbar" (a full crossbar with per source→destination pair
@@ -168,11 +171,15 @@
 // Cell.Topology thread the axis through campaigns (the topology matrix
 // block, case IDs M00801–M00848, sweeps it), and `cmd/experiments
 // -topology spec` through the CLI. The fabrics replace banking rather
-// than composing with it (non-bus topologies require Banks=0), and their
-// degenerate shapes — a 1×1 mesh or a 1-node ring — are byte-identical
-// to the single bus over the whole E2E done-set, pinned by the topology
-// golden. docs/ENGINE.md specifies the routing functions and the
-// per-link dispatch order.
+// than composing with it (non-bus topologies require Banks=0). The mesh
+// and ring are links too, one per tile port and directed channel, and a
+// message crosses its route hop by hop; the crossbar keeps its own
+// per-pair reservation model, because its rounds and per-port counters
+// show in the CSV. The degenerate fabrics — a 1×1 mesh or a 1-node ring
+// — are one link, byte-identical to the single bus over the whole E2E
+// done-set, pinned by the topology golden; a SHA-256 of the done-set CSV
+// pins every shape's bytes. docs/ENGINE.md specifies the routing
+// functions and the per-link dispatch order.
 package clockgate
 
 import (

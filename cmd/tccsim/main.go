@@ -31,7 +31,7 @@ import (
 func main() {
 	var (
 		app       = flag.String("app", "intruder", "workload preset (genome, yada, intruder, ...)")
-		tracePath = flag.String("trace", "", "replay a binary trace file instead of a preset")
+		tracePath = flag.String("trace", "", "replay a CGTRACE2 trace file (as tracegen writes) instead of a preset")
 		procs     = flag.Int("procs", 8, "processor count")
 		gated     = flag.Bool("gated", false, "enable the clock-gating protocol")
 		pair      = flag.Bool("pair", false, "run both configurations and compare")
@@ -51,12 +51,11 @@ func main() {
 		Seed:       *seed,
 	}
 	if *tracePath != "" {
-		f, err := os.Open(*tracePath)
+		data, err := os.ReadFile(*tracePath)
 		if err != nil {
 			fatal(err)
 		}
-		tr, err := workload.Decode(f)
-		f.Close()
+		tr, err := workload.DecodeV2Bytes(data)
 		if err != nil {
 			fatal(err)
 		}

@@ -1,4 +1,6 @@
 // Command tracegen generates, archives and inspects workload traces.
+// Trace files are CGTRACE2, the format of the on-disk trace store;
+// cmd/tccsim -trace replays them.
 //
 // Usage:
 //
@@ -26,12 +28,11 @@ func main() {
 	flag.Parse()
 
 	if *inspect != "" {
-		f, err := os.Open(*inspect)
+		data, err := os.ReadFile(*inspect)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		tr, err := workload.Decode(f)
+		tr, err := workload.DecodeV2Bytes(data)
 		if err != nil {
 			fatal(err)
 		}
@@ -51,7 +52,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := workload.Encode(f, tr); err != nil {
+	if err := workload.EncodeV2(f, tr); err != nil {
 		f.Close()
 		fatal(err)
 	}

@@ -1,10 +1,11 @@
-// Differential timing-equivalence harness for the interconnect models.
-// The banked bus with one bank must be cycle-identical to the single
+// Differential timing-equivalence harness for the Banks axis. The banked
+// bus with one bank must be cycle-identical to the single
 // split-transaction bus — not approximately, but byte-for-byte across the
-// whole E2E done-set. This is the golden that lets the banked model claim
-// the single-bus results as its own baseline: any timing drift between
-// the two implementations fails here, localized to the first diverging
-// protocol event's cycle.
+// whole E2E done-set. Both now build the same single link and pump of
+// bus.Net, so this golden checks the plumbing that maps Banks=0 and
+// Banks=1 onto that link (config, cell, checkpoint key, CSV), localized
+// to the first diverging protocol event's cycle. It cannot see a change
+// to the shared link timing itself; TestDoneSetCSVDigest pins that.
 package clockgate
 
 import (

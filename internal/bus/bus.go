@@ -53,10 +53,9 @@ type Interconnect interface {
 	Banks() int
 	// Stats returns the activity counters, aggregated over resources.
 	Stats() Stats
-	// BankStats returns a copy of each independent resource's private
-	// counters — banks for the bus shapes, links for the fabrics, source
-	// ports for the crossbar. For the single bus this is one entry equal
-	// to Stats().
+	// BankStats returns a copy of each resource's private counters:
+	// banks for the bus shapes, links for the fabrics, source ports for
+	// the crossbar; one entry equal to Stats() for the single bus.
 	BankStats() []Stats
 	// Reset returns the interconnect to its initial state — empty
 	// queues, free wires, zeroed counters — keeping allocated storage.
@@ -116,18 +115,15 @@ type delivery struct {
 	deliver func()
 }
 
-// NewInterconnect selects the interconnect model for a machine of nodes
+// NewInterconnect builds the interconnect of a machine of nodes
 // processors. occupancy is the per-message hold time of one link's (or
-// one crossbar pair's) wires and must be positive. An empty or "bus"
-// topology selects by banks: banks <= 0 is the paper's single
-// split-transaction bus, one link; banks >= 1 is the banked bus with
-// that many links (a positive power of two). Banks=1 builds the same one
-// link and pump as the single bus; the two differ only in the CSV's
-// banks column. The point-to-point topologies — "xbar", "mesh", "ring",
-// with optional explicit sizes (see ParseTopology) — ignore banks;
-// validation rejects the combination upstream. An unparseable topology
-// panics: config validation is the enforcement point and this is the
-// backstop.
+// crossbar pair's) wires and must be positive. An empty or "bus"
+// topology selects by banks: banks <= 0 is the paper's single bus, one
+// link; banks >= 1 is the banked bus, one link per bank (a power of
+// two), so Banks=1 builds the single bus's link and pump. The
+// point-to-point topologies (see ParseTopology) ignore banks; validation
+// rejects the combination upstream. An unparseable topology panics:
+// config validation is the enforcement point and this is the backstop.
 func NewInterconnect(eng *sim.Engine, occupancy sim.Time, banks, nodes int, topology string) Interconnect {
 	topo, err := ParseTopology(topology, nodes)
 	if err != nil {
@@ -156,6 +152,7 @@ type Net struct {
 	eng       *sim.Engine
 	occupancy sim.Time
 	topo      Topology
+	routed    bool // mesh or ring: Send routes by endpoint, not bank
 	links     []link
 	pumps     []pump
 	due       []delivery // pump scratch: crossings due this cycle
@@ -186,7 +183,7 @@ type pump struct {
 
 // newNet builds the links and pumps of a parsed bus, mesh or ring.
 func newNet(eng *sim.Engine, occupancy sim.Time, banks int, topo Topology) *Net {
-	n := &Net{eng: eng, occupancy: occupancy, topo: topo}
+	n := &Net{eng: eng, occupancy: occupancy, topo: topo, routed: topo.Kind != TopoBus}
 	links := 1
 	switch {
 	case topo.Kind == TopoMesh:
@@ -201,9 +198,9 @@ func newNet(eng *sim.Engine, occupancy sim.Time, banks int, topo Topology) *Net 
 		}
 		links = banks
 	}
-	group := 1 // links per pump: all of them on the bus shapes
-	if topo.Kind == TopoBus {
-		group = links
+	group := links // links per pump: all of them on the bus shapes
+	if n.routed {
+		group = 1
 	}
 	n.links = make([]link, links)
 	n.pumps = make([]pump, links/group)
@@ -242,10 +239,10 @@ func (n *Net) Reset() {
 // the fabrics have no address interleave, so every interleave key maps
 // to bank 0 and the bank argument is inert.
 func (n *Net) Banks() int {
-	if n.topo.Kind == TopoBus {
-		return len(n.links)
+	if n.routed {
+		return 1
 	}
-	return 1
+	return len(n.links)
 }
 
 // Stats returns the activity counters aggregated over links. On a
@@ -279,14 +276,14 @@ func (n *Net) Send(src, dst, bank int, deliver func()) {
 	if deliver == nil {
 		panic("bus: nil deliver callback")
 	}
-	if n.topo.Kind == TopoBus {
-		if bank < 0 || bank >= len(n.links) {
-			panic(fmt.Sprintf("bus: bank %d out of range [0,%d)", bank, len(n.links)))
-		}
-		n.send(bank, deliver)
+	if n.routed {
+		n.sendRouted(src, dst, deliver)
 		return
 	}
-	n.sendRouted(src, dst, deliver)
+	if bank < 0 || bank >= len(n.links) {
+		panic(fmt.Sprintf("bus: bank %d out of range [0,%d)", bank, len(n.links)))
+	}
+	n.send(bank, deliver)
 }
 
 // send enqueues a message on one link and arms a grant round at the
@@ -341,8 +338,7 @@ func (n *Net) schedulePump(p *pump) {
 		}
 		p.ref.Cancel()
 	}
-	p.pending = true
-	p.at = earliest
+	p.pending, p.at = true, earliest
 	p.ref = n.eng.Schedule(earliest, p.fn)
 }
 
@@ -356,9 +352,13 @@ func (n *Net) schedulePump(p *pump) {
 // is never in use twice.
 func (n *Net) firePump(p *pump) {
 	p.pending = false
-	now := n.eng.Now()
-	due := n.due[:0]
-	k := len(p.links)
+	if len(p.links) == 1 { // slot ends strictly increase: exactly one is due
+		d := p.links[0].dels.Pop()
+		n.schedulePump(p)
+		d.deliver()
+		return
+	}
+	now, due, k := n.eng.Now(), n.due[:0], len(p.links)
 	start := p.rr
 	p.rr = (p.rr + 1) & (k - 1)
 	for i := 0; i < k; i++ {

@@ -46,9 +46,10 @@ type Machine struct {
 	// Banks selects the interconnect model: 0 (the default) is the
 	// paper's single split-transaction bus; a positive power of two is
 	// the address-interleaved banked bus with that many banks. Banks=1
-	// is the banked model degenerated to one bank — cycle-identical to
-	// the single bus, kept distinct so the two implementations can be
-	// differentially tested against each other.
+	// builds the single bus's one link and pump, so it is
+	// cycle-identical to Banks=0; it stays a distinct value (and CSV
+	// banks column) so the differential goldens can check that the
+	// Banks axis maps onto that link.
 	Banks int
 	// Topology selects the interconnect model by shape: "" or "bus"
 	// (the default) is whatever the Banks axis selects; "xbar", "mesh"

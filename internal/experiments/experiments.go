@@ -35,9 +35,9 @@ type Options struct {
 	// Banks selects the interconnect model for every cell that does not
 	// pin its own (scenario-matrix banked cases do): 0 is the paper's
 	// single split-transaction bus, a positive power of two is the
-	// address-interleaved banked bus. Banks=1 is the banked model
-	// degenerated to one bank — cycle-identical to the single bus by the
-	// differential golden.
+	// address-interleaved banked bus. Banks=1 builds the single bus's
+	// one link and pump, so it is cycle-identical to the single bus (the
+	// differential golden checks the mapping).
 	Banks int
 	// Topology selects the interconnect shape for every cell that does
 	// not pin its own (scenario-matrix topology cases do): "" or "bus"

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -10,13 +11,28 @@ import (
 	"repro/internal/mem"
 )
 
-// CGTRACE2 is the flat columnar trace format behind the shared on-disk
-// trace store (internal/tracestore). Where CGTRACE1 interleaves per-op
-// records for streaming, CGTRACE2 lays every column out as one
-// contiguous, 8-aligned array so a decoder handed the whole file — in
-// particular an mmap'd region — can materialize a read-only *Trace whose
-// op arrays are slices aliasing the file bytes, with zero per-load
-// copies of the op payload. Aliasing is safe because a Trace is
+// ErrCorrupt is the sentinel wrapped by every trace-decode failure —
+// truncation, bad magic, checksum mismatches, length prefixes that
+// disagree with the input. The decoder consumes bytes another process
+// may have half-written or a disk may have mangled (the trace store
+// loads them concurrently with writers), so callers branch on
+// errors.Is(err, ErrCorrupt) to quarantine and regenerate instead of
+// failing the run.
+var ErrCorrupt = errors.New("workload: corrupt trace")
+
+// corruptf wraps ErrCorrupt with context, analogous to fmt.Errorf.
+func corruptf(format string, args ...any) error {
+	return fmt.Errorf("workload: "+format+": %w", append(args, ErrCorrupt)...)
+}
+
+// CGTRACE2 is the one binary trace format: the shared on-disk trace
+// store (internal/tracestore) and the trace files of cmd/tracegen and
+// cmd/tccsim -trace all use it, so generated workloads can be archived
+// and replayed bit-identically across machines. It lays every column
+// out as one contiguous, 8-aligned array so a decoder handed the whole
+// file — in particular an mmap'd region — can materialize a read-only
+// *Trace whose op arrays are slices aliasing the file bytes, with zero
+// per-load copies of the op payload. Aliasing is safe because a Trace is
 // immutable once built (see the Trace doc and tcc's
 // TestRunLeavesTraceUntouched): the simulator only ever reads it.
 //

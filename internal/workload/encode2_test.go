@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -159,61 +160,64 @@ func TestV2DecodeAllocBounded(t *testing.T) {
 	}
 }
 
+// TestDecodeWrapsErrCorrupt pins the sentinel on every failure class —
+// bad magic, truncation, a body bit flip — so the trace store can branch
+// on errors.Is to quarantine.
 func TestDecodeWrapsErrCorrupt(t *testing.T) {
-	// CGTRACE1: truncation, bad magic and lying counts all wrap the
-	// sentinel, so the store can branch on errors.Is to quarantine.
-	if _, err := Decode(bytes.NewReader([]byte("NOTATRACE-------"))); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bad magic: err = %v, want ErrCorrupt", err)
-	}
 	s := validSpec()
 	tr, err := s.Generate(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err != nil {
+	full, err := MarshalV2(tr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	if _, err := Decode(bytes.NewReader(full[:len(full)/2])); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("truncation: err = %v, want ErrCorrupt", err)
+	flipped := bytes.Clone(full)
+	flipped[len(flipped)/2] ^= 0x01
+	for name, data := range map[string][]byte{
+		"bad magic":  []byte("NOTATRACE-------------------------------------"),
+		"truncation": full[:len(full)/2],
+		"bit flip":   flipped,
+	} {
+		if _, err := DecodeV2Bytes(data); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 
-// TestDecodeLyingCountsNoOOM feeds headers whose length prefixes claim
-// astronomically more elements than the input holds. The decoder must
-// fail on the missing bytes without sizing allocations from the lie.
+// TestDecodeLyingCountsNoOOM feeds headers whose counts claim vastly
+// more elements than the input holds, checksum fixed up. The decoder
+// must fail on the size arithmetic without sizing any allocation from
+// the lie.
 func TestDecodeLyingCountsNoOOM(t *testing.T) {
-	le := binary.LittleEndian
-	var buf bytes.Buffer
-	buf.WriteString("CGTRACE1")
-	var u32 [4]byte
-	le.PutUint32(u32[:], 0) // empty name
-	buf.Write(u32[:])
-	le.PutUint32(u32[:], 1) // one thread
-	buf.Write(u32[:])
-	le.PutUint32(u32[:], 0xffff_ffff) // claiming 4B transactions
-	buf.Write(u32[:])
-	if _, err := Decode(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("lying tx count: err = %v, want ErrCorrupt", err)
+	s := validSpec()
+	tr, err := s.Generate(1, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Same lie one level down: a single tx claiming 4B ops.
-	buf.Reset()
-	buf.WriteString("CGTRACE1")
-	le.PutUint32(u32[:], 0)
-	buf.Write(u32[:])
-	le.PutUint32(u32[:], 1)
-	buf.Write(u32[:])
-	le.PutUint32(u32[:], 1) // one tx
-	buf.Write(u32[:])
-	le.PutUint32(u32[:], 5) // interTx
-	buf.Write(u32[:])
-	var u64 [8]byte
-	buf.Write(u64[:]) // pc
-	le.PutUint32(u32[:], 0xffff_ffff)
-	buf.Write(u32[:])
-	if _, err := Decode(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("lying op count: err = %v, want ErrCorrupt", err)
+	full, err := MarshalV2(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	for name, set := range map[string]func([]byte){
+		"tx count": func(b []byte) { le.PutUint64(b[24:], 1<<39) },
+		"op count": func(b []byte) { le.PutUint64(b[32:], 1<<39) },
+		"both":     func(b []byte) { le.PutUint64(b[24:], 1<<39); le.PutUint64(b[32:], 1<<39) },
+	} {
+		mut := bytes.Clone(full)
+		set(mut)
+		fixV2Checksum(mut)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeV2Bytes(mut)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("lying %s: err = %v, want ErrCorrupt", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Fatalf("lying %s: allocated %d bytes before rejecting, want <= 64 KiB", name, n)
+		}
 	}
 }

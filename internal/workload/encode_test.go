@@ -2,9 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +13,9 @@ import (
 	"repro/internal/sim"
 )
 
+// TestEncodeDecodeRoundTrip is the file round trip cmd/tracegen and
+// cmd/tccsim -trace make: EncodeV2 through an io.Writer, DecodeV2Bytes
+// over the written bytes.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	s := validSpec()
 	tr, err := s.Generate(4, 42)
@@ -19,10 +23,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err != nil {
+	if err := EncodeV2(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(&buf)
+	got, err := DecodeV2Bytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,39 +38,74 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsBadMagic covers garbage and the retired CGTRACE1
+// format: a file carrying the old magic is refused as corrupt, not
+// misread.
 func TestDecodeRejectsBadMagic(t *testing.T) {
-	_, err := Decode(strings.NewReader("NOTATRACE-------"))
-	if err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
-func TestDecodeRejectsTruncation(t *testing.T) {
 	s := validSpec()
-	tr, _ := s.Generate(2, 1)
-	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err != nil {
+	tr, err := s.Generate(2, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	// Every strict prefix must fail cleanly, never panic.
-	for _, cut := range []int{0, 4, 8, 12, 20, len(full) / 2, len(full) - 1} {
-		if cut >= len(full) {
-			continue
-		}
-		if _, err := Decode(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+	full, err := MarshalV2(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, magic := range []string{"NOTATRAC", "CGTRACE1"} {
+		mut := bytes.Clone(full)
+		copy(mut, magic)
+		if _, err := DecodeV2Bytes(mut); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("magic %q: err = %v, want ErrCorrupt", magic, err)
 		}
 	}
 }
 
+// TestDecodeRejectsTruncation cuts a valid file at every length: each
+// strict prefix must fail cleanly, never panic.
+func TestDecodeRejectsTruncation(t *testing.T) {
+	s := validSpec()
+	tr, err := s.Generate(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := MarshalV2(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := DecodeV2Bytes(full[:cut]); err == nil {
+			t.Fatalf("truncation at %d of %d bytes accepted", cut, len(full))
+		}
+	}
+}
+
+// TestDecodeRejectsAbsurdCounts sets header counts past the format's
+// limits, checksum fixed up, so the range checks (not the checksum)
+// must reject them.
 func TestDecodeRejectsAbsurdCounts(t *testing.T) {
-	// magic + huge name length
-	var buf bytes.Buffer
-	buf.WriteString("CGTRACE1")
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := Decode(&buf); err == nil {
-		t.Fatal("absurd name length accepted")
+	s := validSpec()
+	tr, err := s.Generate(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := MarshalV2(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	for name, set := range map[string]func([]byte){
+		"name length":  func(b []byte) { le.PutUint32(b[16:], 0xffff_ffff) },
+		"zero threads": func(b []byte) { le.PutUint32(b[20:], 0) },
+		"threads":      func(b []byte) { le.PutUint32(b[20:], v2MaxThreads+1) },
+		"txs":          func(b []byte) { le.PutUint64(b[24:], v2MaxTxs+1) },
+		"ops":          func(b []byte) { le.PutUint64(b[32:], v2MaxOps+1) },
+	} {
+		mut := bytes.Clone(full)
+		set(mut)
+		fixV2Checksum(mut)
+		if _, err := DecodeV2Bytes(mut); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("absurd %s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 
@@ -75,7 +114,7 @@ func TestEncodeRejectsInconsistentThread(t *testing.T) {
 		Txs:     []Transaction{{PC: 1, Ops: []Op{{Kind: OpRead, Line: 1}}}},
 		InterTx: nil, // length mismatch
 	}}}
-	if err := Encode(io.Discard, tr); err == nil {
+	if err := EncodeV2(io.Discard, tr); err == nil {
 		t.Fatal("inconsistent thread encoded")
 	}
 }
@@ -85,7 +124,7 @@ func TestEncodeRejectsBadOpKind(t *testing.T) {
 		Txs:     []Transaction{{PC: 1, Ops: []Op{{Kind: 77}}}},
 		InterTx: []int32{1},
 	}}}
-	if err := Encode(io.Discard, tr); err == nil {
+	if err := EncodeV2(io.Discard, tr); err == nil {
 		t.Fatal("bad op kind encoded")
 	}
 }
@@ -117,10 +156,10 @@ func TestQuickRoundTrip(t *testing.T) {
 			tr.Threads = append(tr.Threads, th)
 		}
 		var buf bytes.Buffer
-		if err := Encode(&buf, tr); err != nil {
+		if err := EncodeV2(&buf, tr); err != nil {
 			return false
 		}
-		got, err := Decode(&buf)
+		got, err := DecodeV2Bytes(buf.Bytes())
 		if err != nil {
 			return false
 		}

@@ -4,10 +4,11 @@
 // traffic exactly like the paper's single split-transaction bus. The
 // campaign CSVs of the three machines must therefore be byte-identical
 // across the whole E2E done-set, outside the topology column that names
-// them. This is the golden that lets the fabric implementations claim
-// the single-bus results as their baseline: any drift in the hop
-// scheduling, the vendor sideband or the stats accounting fails here,
-// localized to the first diverging done-set row.
+// them. The fabrics and the bus share bus.Net's link code, so this
+// golden checks the degenerate route — every message, vendor sideband
+// included, onto local port 0 — and the topology plumbing, localized to
+// the first diverging done-set row. A change to the shared link timing
+// moves both sides alike; TestDoneSetCSVDigest pins that.
 package clockgate
 
 import (
