@@ -1,6 +1,6 @@
 // Drift golden for the whole simulator: the SHA-256 of the done-set
 // campaign CSV. The differential goldens (interconnect_test.go,
-// topology_test.go) compare two interconnect shapes that now share one
+// topology_test.go) compare two interconnect shapes that share one
 // link implementation, so a change to that shared code moves both sides
 // together and passes them. This test pins the bytes themselves, across
 // every shape the done-set runs — the single bus, banks=4/8, xbar, mesh

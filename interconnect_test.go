@@ -1,7 +1,7 @@
 // Differential timing-equivalence harness for the Banks axis. The banked
 // bus with one bank must be cycle-identical to the single
 // split-transaction bus — not approximately, but byte-for-byte across the
-// whole E2E done-set. Both now build the same single link and pump of
+// whole E2E done-set. Both build the same single link and pump of
 // bus.Net, so this golden checks the plumbing that maps Banks=0 and
 // Banks=1 onto that link (config, cell, checkpoint key, CSV), localized
 // to the first diverging protocol event's cycle. It cannot see a change

@@ -178,8 +178,8 @@ func TestBankOfRejectsNonPowerOfTwo(t *testing.T) {
 // banked bus with one bank must deliver a randomized send schedule at
 // exactly the cycles the single bus does, message for message. Both are
 // one Net link on one pump, so this pins the Banks=0/1 construction
-// path, not two implementations; the done-set digest
-// (TestDoneSetCSVDigest) pins the link timing itself.
+// path; the done-set digest (TestDoneSetCSVDigest) pins the link timing
+// itself.
 func TestBankedOneBankMatchesSingleBus(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		single := sim.NewEngine()

@@ -247,8 +247,8 @@ func TestFabricVendorSideband(t *testing.T) {
 // one link, and a randomized schedule of sends (local and vendor) must
 // deliver at exactly the cycles the single bus delivers them, message for
 // message, with identical stats. Both are one Net link on one pump, so
-// this pins the degenerate route (every message, vendor traffic
-// included, onto local port 0), not two implementations.
+// this pins the degenerate route: every message, vendor traffic
+// included, onto local port 0.
 func TestSingleTileFabricMatchesSingleBus(t *testing.T) {
 	for _, spec := range []string{"mesh:1x1", "ring:1"} {
 		topo, err := ParseTopology(spec, 1)

@@ -205,6 +205,13 @@ func TestDecodeLyingCountsNoOOM(t *testing.T) {
 		"tx count": func(b []byte) { le.PutUint64(b[24:], 1<<39) },
 		"op count": func(b []byte) { le.PutUint64(b[32:], 1<<39) },
 		"both":     func(b []byte) { le.PutUint64(b[24:], 1<<39); le.PutUint64(b[32:], 1<<39) },
+		// The header and the thread's own count agree, so only the size
+		// arithmetic stands between the lie and the column slicing.
+		"consistent tx count": func(b []byte) {
+			nameLen := int(le.Uint32(b[16:]))
+			le.PutUint32(b[v2HeaderSize+nameLen+pad8(nameLen):], 1<<20)
+			le.PutUint64(b[24:], 1<<20)
+		},
 	} {
 		mut := bytes.Clone(full)
 		set(mut)
